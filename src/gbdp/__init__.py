@@ -53,7 +53,6 @@ from .model import (
     full_matrix,
     row_mass,
     self_matrix,
-    sink_mass,
     validate,
 )
 from .param import (
@@ -66,7 +65,7 @@ from .param import (
     param_counts,
     recover_params,
 )
-from .simulate import empirical_kstep, step
+from .simulate import empirical_kstep
 from .spectral import (
     BlockDecomposition,
     EigenSystem,

@@ -24,7 +24,7 @@ from .lattice import GridShape, build_grid
 from .model import full_matrix
 from .param import build_model
 from .simulate import empirical_kstep
-from .spectral import k_step, k_step_with_self, matrix_power
+from .spectral import k_step_with_self, matrix_power
 from .stochastic import is_stochastic, normalize_stochastic
 
 
@@ -82,10 +82,7 @@ def _write_matrix(out, shape, matrix):
 def cmd_kstep(args):
     p = fileio.load_params(args.params)
     if args.method == "spectral":
-        if args.self_mass:
-            matrix = k_step_with_self(p, args.self_mass, args.k)
-        else:
-            matrix = k_step(p, args.k)
+        matrix = k_step_with_self(p, args.self_mass, args.k)
     else:
         model = build_model(p, self_prob=args.self_mass or None)
         matrix = matrix_power(full_matrix(model), args.k)

@@ -17,12 +17,15 @@ Parametrization files:
 
 alpha keys are comma-joined state coordinates; gamma keys are
 "direction,offset,step".  Parsing is strict: unknown keys are rejected,
-format_version must equal 1, every edge must be a legal grid jump with
-probability in (0, 1].  "self" and "absorbing" may be omitted.
+format_version must equal 1, integers must be JSON integers (not booleans),
+probabilities and weights must be finite JSON numbers, every edge must be a
+legal grid jump with probability in (0, 1], and self masses must lie in
+[0, 1).  "self" and "absorbing" may be omitted.
 """
 
 import csv
 import json
+import math
 
 from .errors import FormatError
 from .lattice import GridShape, edge_between, in_grid
@@ -43,11 +46,35 @@ def _check_keys(obj, required, optional, what):
         raise FormatError("%s is missing keys: %s" % (what, sorted(missing)))
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x):
+    return isinstance(x, list) and all(_is_int(c) for c in x)
+
+
+def _number(x, what):
+    """x as a float, if it is a finite JSON number (booleans excluded)."""
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    if not (number and math.isfinite(x)):
+        raise FormatError("%s must be a finite number, got %r" % (what, x))
+    return float(x)
+
+
+def _self_mass(x, what):
+    d = _number(x, what)
+    if not 0.0 <= d < 1.0:
+        raise FormatError("%s %r outside [0, 1)" % (what, x))
+    return d
+
+
 def _check_version(doc, what):
-    if doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version")
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise FormatError(
             "%s format_version must be %d (got %r)"
-            % (what, FORMAT_VERSION, doc.get("format_version"))
+            % (what, FORMAT_VERSION, version)
         )
 
 
@@ -61,15 +88,13 @@ def _load_json(path, what):
 
 def _parse_shape(obj):
     _check_keys(obj, ("q", "dims", "l1", "l2"), (), "shape")
-    if not isinstance(obj["dims"], list) or not all(
-        isinstance(n, int) for n in obj["dims"]
-    ):
+    if not _is_int_list(obj["dims"]):
         raise FormatError("shape dims must be a list of integers")
-    if obj["q"] != len(obj["dims"]):
+    if not _is_int(obj["q"]) or obj["q"] != len(obj["dims"]):
         raise FormatError(
             "shape q=%r does not match len(dims)=%d" % (obj["q"], len(obj["dims"]))
         )
-    if not isinstance(obj["l1"], int) or not isinstance(obj["l2"], int):
+    if not _is_int(obj["l1"]) or not _is_int(obj["l2"]):
         raise FormatError("shape l1 and l2 must be integers")
     return GridShape(tuple(obj["dims"]), obj["l1"], obj["l2"])
 
@@ -101,12 +126,18 @@ def load_model(path):
     probs = {}
     for entry in doc["edges"]:
         _check_keys(entry, ("from", "to", "prob"), (), "edge")
+        for end in ("from", "to"):
+            if not _is_int_list(entry[end]):
+                raise FormatError(
+                    "edge %s must be a list of integers, got %r"
+                    % (end, entry[end])
+                )
         u, v = tuple(entry["from"]), tuple(entry["to"])
         if edge_between(shape, u, v) is None:
             raise FormatError(
                 "edge %s->%s exits the grid or is not a legal jump" % (u, v)
             )
-        p = float(entry["prob"])
+        p = _number(entry["prob"], "edge %s->%s probability" % (u, v))
         if not 0.0 < p <= 1.0:
             raise FormatError(
                 "edge %s->%s probability %r outside (0, 1]" % (u, v, entry["prob"])
@@ -121,10 +152,10 @@ def load_model(path):
             u = _parse_state_key(key, shape.q, "self table")
             if not in_grid(shape, u):
                 raise FormatError("self table state %s is off the grid" % (u,))
-            parsed[u] = float(d)
+            parsed[u] = _self_mass(d, "self mass at %s" % (u,))
         self_prob = parsed
     elif self_prob is not None:
-        self_prob = float(self_prob)
+        self_prob = _self_mass(self_prob, "self mass")
     absorbing = doc.get("absorbing", False)
     if not isinstance(absorbing, bool):
         raise FormatError("absorbing must be a boolean, got %r" % (absorbing,))
@@ -165,7 +196,7 @@ def load_params(path):
     if not isinstance(doc["alpha"], dict) or not isinstance(doc["gamma"], dict):
         raise FormatError("alpha and gamma must be objects")
     alpha = {
-        _parse_state_key(key, shape.q, "alpha"): float(a)
+        _parse_state_key(key, shape.q, "alpha"): _number(a, "alpha %r" % key)
         for key, a in doc["alpha"].items()
     }
     gamma = {}
@@ -177,7 +208,7 @@ def load_params(path):
             raise FormatError(
                 "gamma key %r is not 'direction,offset,step'" % (key,)
             )
-        gamma[(i, r, x)] = float(g)
+        gamma[(i, r, x)] = _number(g, "gamma %r" % key)
     return Parametrization(shape, alpha, gamma)
 
 

@@ -105,11 +105,6 @@ def row_mass(model):
     return mass
 
 
-def sink_mass(model):
-    """Residual mass 1 - row mass per state (sent to the sink when absorbing)."""
-    return 1.0 - row_mass(model)
-
-
 def directional_matrix(model, i):
     """Matrix P_i of moves along coordinate i (1-based); other entries zero.
 

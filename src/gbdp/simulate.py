@@ -56,23 +56,6 @@ def _pick(targets, cum, r, absorbing):
     return targets[idx]
 
 
-def step(model, u, rand):
-    """One transition from u using the uniform source `rand` (a numpy
-    Generator); returns the next state, or None if absorbed."""
-    u = tuple(u)
-    grid = build_grid(model.shape)
-    grid.index_of(u)  # domain check
-    moves = sorted(
-        (grid.index_of(v), v, p)
-        for (src, v), p in model.probs.items()
-        if src == u
-    )
-    _require_samplable(model)
-    targets = [v for _, v, _ in moves] + [u]
-    cum = np.cumsum([p for _, _, p in moves] + [model.self_of(u)])
-    return _pick(targets, cum, rand.random(), model.absorbing)
-
-
 def empirical_kstep(model, u0, k, trials, seed):
     """Frequency of each end state over `trials` k-step trajectories from u0.
 

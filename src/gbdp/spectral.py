@@ -62,7 +62,7 @@ def block_decompose(p):
 
 
 def direction_operator(decomp, i):
-    """Full-size A(i): the block of direction i placed on tensor slot i."""
+    """Full-size A(i), dense N x N, for the oracles in tests and demos."""
     shape = decomp.shape
     if not 1 <= i <= shape.q:
         raise DomainError("direction %d outside 1..%d" % (i, shape.q))
@@ -107,21 +107,15 @@ def symmetric_eigen(u, tol=EIGEN_TOL):
     return EigenSystem(values, vectors)
 
 
-def _tensor_system(p):
-    """(b vector, joint eigenvector matrix W, eigenvalue-sum vector)."""
+def axis_eigensystems(p):
+    """Block decomposition of p and the eigensystem of each of its blocks."""
     decomp = block_decompose(p)
-    systems = [symmetric_eigen(u) for u in decomp.blocks]
-    w = reduce(np.kron, [s.vectors for s in systems])
-    lam = reduce(np.add.outer, [s.values for s in systems]).ravel()
-    return b_vector(decomp), w, lam
+    return decomp, [symmetric_eigen(u) for u in decomp.blocks]
 
 
 def k_step(p, k):
     """The k-step transition matrix of the parametrized model, spectrally."""
-    k = _check_power(k)
-    b, w, lam = _tensor_system(p)
-    inner = (w * lam ** k) @ w.T
-    return b[:, None] * inner / b[None, :]
+    return k_step_with_self(p, 0.0, k)
 
 
 def k_step_with_self(p, alpha_self, k):
@@ -139,7 +133,10 @@ def k_step_with_self(p, alpha_self, k):
     if not 0.0 <= a < 1.0:
         raise DomainError("self mass %r outside [0, 1)" % alpha_self)
     k = _check_power(k)
-    b, w, lam = _tensor_system(p)
+    decomp, systems = axis_eigensystems(p)
+    b = b_vector(decomp)
+    w = reduce(np.kron, [s.vectors for s in systems])
+    lam = reduce(np.add.outer, [s.values for s in systems]).ravel()
     inner = (w * (a + lam) ** k) @ w.T
     return b[:, None] * inner / b[None, :]
 

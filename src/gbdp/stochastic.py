@@ -2,21 +2,29 @@
 
 The full matrix of a parametrized model is B (sum_i A(i)) B^-1, so its row
 sums all equal 1 - a exactly when (1 - a)/rho times sum_i A(i) has Perron
-root 1 - a and B^-1's diagonal is the Perron vector.  normalize_stochastic
-finds the Perron pair of M = sum_i A(i) by power iteration, scales every
-gamma by (1 - alpha_self)/rho and replaces the vertex weights by the
-reciprocal Perron components (gauged to 1 at the origin).  Commutation is
-untouched: the bilinear identities scale uniformly.
+root 1 - a and B^-1's diagonal is the Perron vector.  M = sum_i A(i) is the
+Kronecker sum of the symmetric blocks U(i), so its Perron root is
+sum_i lam_max(U(i)) and its Perron vector is the Kronecker product of the
+blocks' top eigenvectors (Horn & Johnson, Topics in Matrix Analysis, 4.4).
+M is irreducible iff every block is: a Cartesian product of graphs is
+connected iff each factor is.  normalize_stochastic reads this pair off the
+per-axis eigensystems, scales every gamma by (1 - alpha_self)/rho and
+replaces the vertex weights by the reciprocal Perron components (gauged to
+1 at the origin).  Commutation is untouched: the bilinear identities scale
+uniformly.  perron, power iteration on a dense matrix, runs on no
+production path: it is kept as the independent oracle.
 """
+
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StructureError
 from .lattice import build_grid
 from .param import Parametrization
-from .spectral import block_decompose, direction_operator
+from .spectral import axis_eigensystems
 
-# successive-iterate threshold and iteration cap for the power method
+# successive-iterate threshold and iteration cap of the oracle's power method
 VECTOR_TOL = 1e-13
 ITERATION_CAP_PER_SIZE = 100
 
@@ -42,7 +50,7 @@ def _strongly_connected(m):
 
 def perron(m, tol=1e-10, v0=None):
     """Perron root and unit-sum positive eigenvector of an irreducible
-    non-negative matrix.
+    non-negative matrix; the dense oracle for normalize_stochastic.
 
     Power iteration on M + eps*I with eps = 0.5*norm(M, inf): the shift
     breaks the period-2 oscillation of bipartite-like patterns (grids with
@@ -102,9 +110,13 @@ def normalize_stochastic(p, alpha_self=0.0):
     a = float(alpha_self)
     if not 0.0 <= a < 1.0:
         raise DomainError("self mass %r outside [0, 1)" % alpha_self)
-    decomp = block_decompose(p)
-    m = sum(direction_operator(decomp, i) for i in range(1, p.shape.q + 1))
-    rho, v = perron(m)
+    decomp, systems = axis_eigensystems(p)
+    if not all(_strongly_connected(u) for u in decomp.blocks):
+        raise StructureError(
+            "weight matrix is reducible (a direction's block is disconnected)"
+        )
+    rho = sum(float(s.values[-1]) for s in systems)
+    v = reduce(np.kron, [s.vectors[:, -1] for s in systems])
     c = (1.0 - a) / rho
     grid = build_grid(p.shape)
     alpha = {u: float(v[0] / v[k]) for k, u in enumerate(grid.states)}

@@ -100,6 +100,28 @@ def _write(tmp_path, doc):
     (lambda d: d.update(self={"a": 0.1}), "not a comma-joined state"),
     (lambda d: d.update(self={"0,0": 0.1}), "expected 1"),
     (lambda d: d.update(absorbing="yes"), "must be a boolean"),
+    (lambda d: d.update(format_version=True),
+     "format_version must be 1 \\(got True\\)"),
+    (lambda d: d["shape"].update(q=True), "q=True does not match"),
+    (lambda d: d["shape"].update(dims=[True]),
+     "dims must be a list of integers"),
+    (lambda d: d["shape"].update(l1=True), "l1 and l2 must be integers"),
+    (lambda d: d["edges"][0].update({"from": [False]}),
+     "edge from must be a list of integers"),
+    (lambda d: d["edges"][0].update(to=[True]),
+     "edge to must be a list of integers"),
+    (lambda d: d["edges"][0].update(prob="0.5"),
+     "probability must be a finite number, got '0.5'"),
+    (lambda d: d["edges"][0].update(prob=True),
+     "probability must be a finite number, got True"),
+    (lambda d: d.update(self=5.0), "self mass 5.0 outside \\[0, 1\\)"),
+    (lambda d: d.update(self=-0.1), "self mass -0.1 outside \\[0, 1\\)"),
+    (lambda d: d.update(self=1), "self mass 1 outside \\[0, 1\\)"),
+    (lambda d: d.update(self="0.1"), "self mass must be a finite number"),
+    (lambda d: d.update(self={"0": 5.0}),
+     "self mass at \\(0,\\) 5.0 outside"),
+    (lambda d: d.update(self={"1": True}),
+     "self mass at \\(1,\\) must be a finite number"),
 ])
 def test_model_files_are_parsed_strictly(tmp_path, mutate, message):
     doc = _base_doc()
@@ -121,22 +143,27 @@ def test_params_files_are_parsed_strictly(tmp_path, rng):
     save_params(make_parametrization(GridShape((1,), 1, 1), rng),
                 tmp_path / "p.json")
     doc = json.loads((tmp_path / "p.json").read_text())
-    bad = dict(doc)
-    bad["extra"] = 1
-    with pytest.raises(FormatError, match="unknown keys"):
-        load_params(_write(tmp_path, bad))
-    bad = json.loads(json.dumps(doc))
-    bad["gamma"] = {"1,0": 0.5}
-    with pytest.raises(FormatError, match="direction,offset,step"):
-        load_params(_write(tmp_path, bad))
-    bad = json.loads(json.dumps(doc))
-    bad["alpha"] = {"0": 1.0, "x": 1.0}
-    with pytest.raises(FormatError, match="not a comma-joined state"):
-        load_params(_write(tmp_path, bad))
-    bad = json.loads(json.dumps(doc))
-    bad["alpha"] = []
-    with pytest.raises(FormatError, match="must be objects"):
-        load_params(_write(tmp_path, bad))
+    for mutate, message in [
+        (lambda d: d.update(extra=1), "unknown keys"),
+        (lambda d: d.update(gamma={"1,0": 0.5}), "direction,offset,step"),
+        (lambda d: d.update(alpha={"0": 1.0, "x": 1.0}),
+         "not a comma-joined state"),
+        (lambda d: d.update(alpha=[]), "must be objects"),
+        (lambda d: d.update(format_version=True), "format_version must be 1"),
+        (lambda d: d["shape"].update(dims=[True]), "list of integers"),
+        (lambda d: d["alpha"].update({"0": "1.0"}),
+         "alpha '0' must be a finite number"),
+        (lambda d: d["alpha"].update({"1": True}),
+         "alpha '1' must be a finite number"),
+        (lambda d: d["gamma"].update({"1,0,1": "0.5"}),
+         "gamma '1,0,1' must be a finite number"),
+        (lambda d: d["gamma"].update({"1,0,1": False}),
+         "gamma '1,0,1' must be a finite number"),
+    ]:
+        bad = json.loads(json.dumps(doc))
+        mutate(bad)
+        with pytest.raises(FormatError, match=message):
+            load_params(_write(tmp_path, bad))
 
 
 def test_matrix_csv_layout():

