@@ -21,10 +21,10 @@ from math import gcd
 
 import numpy as np
 
-from .commute import constraint_edges, pair_constraints
+from .commute import constraint_columns, pair_constraints
 from .errors import UnsupportedConfigError
-from .lattice import build_grid, directed_edges
-from .param import edge_class_of, edge_classes
+from .lattice import edge_pairs, edge_table, grid_states
+from .param import edge_classes
 
 
 @dataclass
@@ -59,54 +59,38 @@ def _require_equal_bounds(shape, what):
         )
 
 
-def _edge_columns(shape):
-    edges = [(e.u, e.v) for e in directed_edges(shape)]
-    return edges, {edge: k for k, edge in enumerate(edges)}
-
-
 def build_Q(shape):
     """Constraint matrix: rows ordered by direction pair (i < j), then by
     the constraint order of the commute module."""
     _require_equal_bounds(shape, "constraint matrix")
-    edges, col = _edge_columns(shape)
-    rows = []
-    labels = []
-    for i in range(1, shape.q + 1):
-        for j in range(i + 1, shape.q + 1):
-            for c in pair_constraints(shape, i, j):
-                row = np.zeros(len(edges), dtype=np.int64)
-                (left1, left2), (right1, right2) = constraint_edges(c)
-                row[col[left1]] += 1
-                row[col[left2]] += 1
-                row[col[right1]] -= 1
-                row[col[right2]] -= 1
-                rows.append(row)
-                labels.append(c)
-    entries = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, len(edges)), dtype=np.int64)
-    )
+    pairs = [(i, j) for i in range(1, shape.q + 1)
+             for j in range(i + 1, shape.q + 1)]
+    cols = np.hstack([constraint_columns(shape, i, j) for i, j in pairs]
+                     or [np.zeros((4, 0), dtype=np.int64)])
+    edges = edge_pairs(shape)
+    entries = np.zeros((cols.shape[1], len(edges)), dtype=np.int64)
+    rows = np.arange(cols.shape[1])
+    entries[rows, cols[0]] = entries[rows, cols[1]] = 1
+    entries[rows, cols[2]] = entries[rows, cols[3]] = -1
+    labels = [c for i, j in pairs for c in pair_constraints(shape, i, j)]
     return IntMatrix(entries, labels, edges)
 
 
 def build_R(shape):
     """Parameter matrix: vertex rows (lattice order) then class rows."""
     _require_equal_bounds(shape, "parameter matrix")
-    grid = build_grid(shape)
-    edges, _ = _edge_columns(shape)
+    t = edge_table(shape)
+    states = grid_states(shape)
     classes = edge_classes(shape)
-    class_row = {c: len(grid.states) + k for k, c in enumerate(classes)}
-    entries = np.zeros((len(grid.states) + len(classes), len(edges)),
+    cols = np.arange(len(t.src))
+    entries = np.zeros((len(states) + len(classes), len(cols)),
                        dtype=np.int64)
-    for k, (u, v) in enumerate(edges):
-        entries[grid.index_of(u), k] += 1
-        entries[grid.index_of(v), k] -= 1
-        entries[class_row[edge_class_of(shape, u, v)], k] += 1
-    labels = [("alpha", u) for u in grid.states] + [
-        ("gamma", c) for c in classes
-    ]
-    return IntMatrix(entries, labels, edges)
+    entries[t.src, cols] = 1
+    entries[t.dst, cols] = -1
+    entries[len(states) + t.cls, cols] = 1
+    labels = ([("alpha", u) for u in states]
+              + [("gamma", c) for c in classes])
+    return IntMatrix(entries, labels, edge_pairs(shape))
 
 
 def integer_rank(m):

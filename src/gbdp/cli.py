@@ -8,6 +8,7 @@ tolerance (1e-12) can be overridden with the GBDP_TOL environment variable;
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -30,7 +31,14 @@ from .stochastic import is_stochastic, normalize_stochastic
 
 def default_tol():
     env = os.environ.get("GBDP_TOL")
-    return float(env) if env else commute.DEFAULT_TOL
+    try:
+        tol = float(env) if env else commute.DEFAULT_TOL
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise GbdpError("GBDP_TOL must be a finite, non-negative number, "
+                        "got %r" % env)
+    return tol
 
 
 def describe_constraint(c):
@@ -90,15 +98,16 @@ def cmd_kstep(args):
     return 0
 
 
-def _parse_dims(text):
+def _int_list(text, flag):
     try:
         return tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise GbdpError("--dims must be comma-separated integers, got %r" % text)
+        raise GbdpError("%s must be comma-separated integers, got %r"
+                        % (flag, text))
 
 
 def cmd_ranks(args):
-    shape = GridShape(_parse_dims(args.dims), args.l, args.l)
+    shape = GridShape(_int_list(args.dims, "--dims"), args.l, args.l)
     q = build_Q(shape)
     r = build_R(shape)
     product_zero = not (q.entries @ r.entries.T).any()
@@ -145,7 +154,7 @@ def cmd_normalize(args):
 
 def cmd_simulate(args):
     model = fileio.load_model(args.model)
-    start = tuple(int(s) for s in args.start.split(","))
+    start = _int_list(args.start, "--from")
     freqs = empirical_kstep(model, start, args.k, args.trials, args.seed)
     if args.out:
         with open(args.out, "w", newline="") as f:

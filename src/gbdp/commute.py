@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
-from .lattice import build_grid, shifted
-from .model import directional_matrix
+from .lattice import edge_table, grid_states, shifted
+from .model import directional_matrix, edge_vector
 
 # probabilities are O(1) so products are O(1); absolute tolerance
 DEFAULT_TOL = 1e-12
@@ -57,37 +57,41 @@ def constraint_edges(c):
     return ((c.base, v1), (v1, w)), ((c.base, v2), (v2, w))
 
 
-def pair_constraints(shape, i, j):
-    """All constraints for the direction pair (i, j), in a fixed order.
-
-    Order: base state (lattice order), then family, then |step_i|, |step_j|.
-    """
+def constraint_columns(shape, i, j):
+    """Edge columns (left1, left2, right1, right2) of the constraints of
+    the direction pair (i, j), one array each, in pair_constraints order."""
     if i == j:
         raise DomainError("self-commutation of direction %d is vacuous" % i)
     if not (1 <= i <= shape.q and 1 <= j <= shape.q):
         raise DomainError(
             "direction pair (%d, %d) outside 1..%d" % (i, j, shape.q)
         )
-    # per family, the step magnitude bounds for (|step_i|, |step_j|)
-    families = [
-        (1, 1, 1, shape.l1, shape.l1),
-        (2, 1, -1, shape.l1, shape.l2),
-        (3, -1, 1, shape.l2, shape.l1),
-        (4, -1, -1, shape.l2, shape.l2),
+    t = edge_table(shape)
+    lmax = max(shape.l1, shape.l2)
+    # lookup slots of (step_i, step_j): by family (signs), then by sizes
+    si, sj, xi, xj = np.indices((2, 2, lmax, lmax)).reshape(4, -1)
+    slot_i, slot_j = si * lmax + xi, sj * lmax + xj
+    first_i, first_j = t.column[:, i - 1, slot_i], t.column[:, j - 1, slot_j]
+    base, k = np.nonzero((first_i >= 0) & (first_j >= 0))
+    left1, right1 = first_i[base, k], first_j[base, k]
+    left2 = t.column[t.dst[left1], j - 1, slot_j[k]]
+    right2 = t.column[t.dst[right1], i - 1, slot_i[k]]
+    return left1, left2, right1, right2
+
+
+def pair_constraints(shape, i, j):
+    """All constraints for the direction pair (i, j), in a fixed order.
+
+    Order: base state (lattice order), then family, then |step_i|, |step_j|.
+    """
+    t = edge_table(shape)
+    states = grid_states(shape)
+    left1, _, right1, _ = constraint_columns(shape, i, j)
+    return [
+        Constraint(1 + 2 * (a < 0) + (b < 0), i, j, states[s], a, b)
+        for s, a, b in zip(t.src[left1].tolist(), t.step[left1].tolist(),
+                           t.step[right1].tolist())
     ]
-    out = []
-    for u in build_grid(shape).states:
-        for family, si, sj, li, lj in families:
-            for xa in range(1, li + 1):
-                a = si * xa
-                if not 0 <= u[i - 1] + a <= shape.dims[i - 1]:
-                    continue
-                for xb in range(1, lj + 1):
-                    b = sj * xb
-                    if not 0 <= u[j - 1] + b <= shape.dims[j - 1]:
-                        continue
-                    out.append(Constraint(family, i, j, u, a, b))
-    return out
 
 
 def constraint_residuals(model, i, j):
@@ -96,12 +100,10 @@ def constraint_residuals(model, i, j):
     residual = left product - right product, with any absent edge
     contributing probability 0.
     """
-    out = []
-    for c in pair_constraints(model.shape, i, j):
-        (l1, l2), (r1, r2) = constraint_edges(c)
-        res = model.p(*l1) * model.p(*l2) - model.p(*r1) * model.p(*r2)
-        out.append((c, res))
-    return out
+    left1, left2, right1, right2 = constraint_columns(model.shape, i, j)
+    p, _ = edge_vector(model)
+    res = p[left1] * p[left2] - p[right1] * p[right2]
+    return list(zip(pair_constraints(model.shape, i, j), res.tolist()))
 
 
 def commutes_direct(model, i, j, tol=DEFAULT_TOL):

@@ -11,8 +11,12 @@ The standing assumption is max(l1, l2) <= min(dims), so every jump size
 occurs somewhere in every direction.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,10 +45,7 @@ class GridShape:
 
     @property
     def n_states(self):
-        out = 1
-        for n in self.dims:
-            out *= n + 1
-        return out
+        return math.prod(n + 1 for n in self.dims)
 
 
 def validate_shape(shape):
@@ -85,44 +86,92 @@ def in_grid(shape, u):
     )
 
 
+EdgeTable = namedtuple(
+    "EdgeTable", "coords src dst direction step cls reverse classes column")
+
+
+@lru_cache(maxsize=16)
+def edge_table(shape):
+    """The directed edges of a shape as aligned read-only int arrays.
+
+    coords[k] is the state of linear index k.  Edge column k, in
+    directed_edges order, moves src[k] to dst[k] along direction[k] by
+    step[k]; cls[k] is its row in classes, the (direction, offset, size)
+    list of edge_classes; reverse[k] is the column of dst[k] -> src[k], or
+    -1.  With L = max(l1, l2), column[s, i - 1, j] is the column of the move
+    from s along direction i by step j + 1 if j < L, by step L - j - 1 if
+    j >= L, or -1 where that move is no edge.
+    """
+    dims = np.array(shape.dims)
+    lmax = max(shape.l1, shape.l2)
+    steps = np.concatenate([np.arange(1, lmax + 1), -np.arange(1, lmax + 1)])
+    strides = shape.n_states // np.cumprod(dims + 1)
+    coords = np.indices(dims + 1).reshape(shape.q, -1).T
+    to = coords[:, :, None] + steps
+    bound = np.where(steps > 0, shape.l1, shape.l2)
+    fits = (np.abs(steps) <= bound) & (to >= 0) & (to <= dims[:, None])
+    column = np.where(fits, np.cumsum(fits).reshape(fits.shape) - 1, -1)
+    src, axis, slot = np.nonzero(fits)
+    step = steps[slot]
+    dst = src + step * strides[axis]
+    classes = np.array([(i + 1, r, x) for i, n in enumerate(shape.dims)
+                        for x in range(1, lmax + 1) for r in range(n - x + 1)])
+    class_id = np.zeros((shape.q + 1, dims.max(), lmax + 1), dtype=int)
+    class_id[tuple(classes.T)] = np.arange(len(classes))
+    offset = np.minimum(coords[src, axis], to[src, axis, slot])
+    reverse = column[dst, axis, np.where(step > 0, lmax + step - 1, -step - 1)]
+    table = EdgeTable(coords, src, dst, axis + 1, step,
+                      class_id[axis + 1, offset, np.abs(step)], reverse,
+                      classes, column)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def grid_states(shape):
+    """All states as tuples, in lattice order."""
+    return list(map(tuple, edge_table(shape).coords.tolist()))
+
+
+def edge_columns(shape, pairs):
+    """Edge column of each (u, v) pair; -1 where u -> v is not an edge."""
+    t, q = edge_table(shape), shape.q
+    fit = [len(u) == q == len(v) for u, v in pairs]
+    ends = chain.from_iterable(u + v for (u, v), f in zip(pairs, fit) if f)
+    uv = np.fromiter(ends, float, 2 * q * sum(fit)).reshape(-1, 2, q)
+    on = ((uv == np.floor(uv)) & (uv >= 0) & (uv <= shape.dims)).all((1, 2))
+    src, dst = np.ravel_multi_index(uv[on].astype(int).transpose(2, 1, 0),
+                                    np.add(shape.dims, 1))
+    cand = t.column.reshape(len(t.column), -1)[src]
+    hit = (cand >= 0) & (t.dst[cand] == dst[:, None])
+    out = np.full(len(pairs), -1)
+    out[np.flatnonzero(fit)[on]] = np.where(
+        hit.any(axis=1), cand[np.arange(len(src)), hit.argmax(axis=1)], -1)
+    return out
+
+
 class Grid:
     """Enumerated states of a GridShape with the index bijection."""
 
     def __init__(self, shape):
         self.shape = shape
-        self.states = list(_enumerate_states(shape.dims))
-        self._index = {u: k for k, u in enumerate(self.states)}
-        # strides for direct index arithmetic (last coordinate fastest)
-        strides = [1] * shape.q
-        for i in range(shape.q - 2, -1, -1):
-            strides[i] = strides[i + 1] * (shape.dims[i + 1] + 1)
-        self.strides = tuple(strides)
+        self.states = grid_states(shape)
 
     def __len__(self):
         return len(self.states)
 
     def index_of(self, u):
-        try:
-            return self._index[tuple(u)]
-        except KeyError:
-            raise DomainError("state %s is not on the grid" % (tuple(u),))
+        u = tuple(u)
+        if not in_grid(self.shape, u):
+            raise DomainError("state %s is not on the grid" % (u,))
+        return int(np.ravel_multi_index(u, np.add(self.shape.dims, 1)))
 
     def state_of(self, k):
         return self.states[k]
 
 
-def _enumerate_states(dims):
-    if not dims:
-        yield ()
-        return
-    for head in range(dims[0] + 1):
-        for tail in _enumerate_states(dims[1:]):
-            yield (head,) + tail
-
-
 def build_grid(shape):
     """Enumerate states in lexicographic order (last coordinate fastest)."""
-    validate_shape(shape)
     return Grid(shape)
 
 
@@ -147,31 +196,28 @@ def edge_between(shape, u, v):
     return None
 
 
+def edge_pairs(shape):
+    """The (u, v) state pair of every edge column."""
+    t = edge_table(shape)
+    states = grid_states(shape)
+    return [(states[s], states[d])
+            for s, d in zip(t.src.tolist(), t.dst.tolist())]
+
+
 def directed_edges(shape):
     """All directed edges, one per ordered adjacent pair (u, v).
 
     Order: by source state index, then direction, then forward steps
     ascending, then backward steps ascending.
     """
-    validate_shape(shape)
-    edges = []
-    for u in _enumerate_states(shape.dims):
-        for i in range(1, shape.q + 1):
-            for x in range(1, shape.l1 + 1):
-                if u[i - 1] + x <= shape.dims[i - 1]:
-                    edges.append(Edge(u, shifted(u, i, x), i, x))
-            for y in range(1, shape.l2 + 1):
-                if u[i - 1] - y >= 0:
-                    edges.append(Edge(u, shifted(u, i, -y), i, -y))
-    return edges
+    t = edge_table(shape)
+    return [Edge(u, v, i, x) for (u, v), i, x in zip(
+        edge_pairs(shape), t.direction.tolist(), t.step.tolist())]
 
 
 def adjacency_and_laplacian(shape):
     """0/1 adjacency matrix and Laplacian L = Deg - A of the grid graph."""
-    grid = build_grid(shape)
-    n = len(grid)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for e in directed_edges(shape):
-        adj[grid.index_of(e.u), grid.index_of(e.v)] = 1
-    deg = np.diag(adj.sum(axis=1))
-    return adj, deg - adj
+    t = edge_table(shape)
+    adj = np.zeros((shape.n_states, shape.n_states), dtype=np.int64)
+    adj[t.src, t.dst] = 1
+    return adj, np.diag(adj.sum(axis=1)) - adj

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .lattice import build_grid, edge_between, in_grid
+from .lattice import edge_columns, edge_table, grid_states, in_grid
 
 # absolute tolerance for the "row sum = 1" check; all arithmetic is double
 # precision and grids are small
@@ -51,6 +51,22 @@ class TransitionModel:
         return float(self.self_prob)
 
 
+def edge_vector(model):
+    """(probabilities in edge_table column order, keys that are no edge);
+    such keys are validation violations and are otherwise ignored."""
+    keys = list(model.probs)
+    cols = edge_columns(model.shape, keys)
+    probs = np.fromiter(model.probs.values(), dtype=float, count=len(keys))
+    vec = np.zeros(len(edge_table(model.shape).src))
+    vec[cols[cols >= 0]] = probs[cols >= 0]
+    return vec, [key for key, c in zip(keys, cols.tolist()) if c < 0]
+
+
+def self_vector(model):
+    """Self-transition mass of every state, in lattice order."""
+    return np.array([model.self_of(u) for u in grid_states(model.shape)])
+
+
 def validate(model):
     """List of human-readable invariant violations; empty iff the model is valid.
 
@@ -58,8 +74,9 @@ def validate(model):
     """
     shape = model.shape
     report = []
+    illegal = set(edge_vector(model)[1])
     for (u, v), p in model.probs.items():
-        if edge_between(shape, u, v) is None:
+        if (u, v) in illegal:
             report.append(
                 "edge %s->%s exits grid or is not a legal jump" % (u, v)
             )
@@ -80,29 +97,22 @@ def validate(model):
             report.append(
                 "scalar self-probability %r outside [0, 1)" % model.self_prob
             )
-    grid = build_grid(shape)
-    mass = row_mass(model)
-    for k, u in enumerate(grid.states):
-        if mass[k] > 1.0 + ROW_SUM_TOL:
-            report.append("probability mass exceeds 1 at %s (%.17g)" % (u, mass[k]))
-        elif not model.absorbing and mass[k] < 1.0 - ROW_SUM_TOL:
+    for u, mass in zip(grid_states(shape), row_mass(model).tolist()):
+        if mass > 1.0 + ROW_SUM_TOL:
+            report.append("probability mass exceeds 1 at %s (%.17g)" % (u, mass))
+        elif not model.absorbing and mass < 1.0 - ROW_SUM_TOL:
             report.append(
                 "probability mass %.17g < 1 at %s with no absorbing sink"
-                % (mass[k], u)
+                % (mass, u)
             )
     return report
 
 
 def row_mass(model):
     """Per-state outgoing mass: sum of edge probabilities plus self mass."""
-    grid = build_grid(model.shape)
-    mass = np.zeros(len(grid))
-    for (u, v), p in model.probs.items():
-        if edge_between(model.shape, u, v) is not None:
-            mass[grid.index_of(u)] += p
-    for k, u in enumerate(grid.states):
-        mass[k] += model.self_of(u)
-    return mass
+    vec, _ = edge_vector(model)
+    src, n = edge_table(model.shape).src, model.shape.n_states
+    return np.bincount(src, weights=vec, minlength=n) + self_vector(model)
 
 
 def directional_matrix(model, i):
@@ -112,28 +122,23 @@ def directional_matrix(model, i):
     """
     shape = model.shape
     if not 1 <= i <= shape.q:
-        raise DomainError(
-            "direction %d outside 1..%d" % (i, shape.q)
-        )
-    grid = build_grid(shape)
-    n = len(grid)
-    out = np.zeros((n, n))
-    for (u, v), p in model.probs.items():
-        e = edge_between(shape, u, v)
-        if e is not None and e.direction == i:
-            out[grid.index_of(u), grid.index_of(v)] = p
+        raise DomainError("direction %d outside 1..%d" % (i, shape.q))
+    t = edge_table(shape)
+    vec, _ = edge_vector(model)
+    out = np.zeros((shape.n_states, shape.n_states))
+    out[t.src, t.dst] = np.where(t.direction == i, vec, 0.0)
     return out
 
 
 def self_matrix(model):
     """Diagonal matrix D of self-transition probabilities."""
-    grid = build_grid(model.shape)
-    return np.diag([model.self_of(u) for u in grid.states])
+    return np.diag(self_vector(model))
 
 
 def full_matrix(model):
     """P = sum over directions of P_i, plus D."""
+    t = edge_table(model.shape)
+    vec, _ = edge_vector(model)
     out = self_matrix(model)
-    for i in range(1, model.shape.q + 1):
-        out += directional_matrix(model, i)
+    out[t.src, t.dst] = vec
     return out

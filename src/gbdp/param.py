@@ -17,14 +17,15 @@ probabilities), with alpha_u = beta_u^(-1/2), gauged to beta = 1 at the
 origin.  For unit jumps every positive commuting model is of this form.
 With jumps of size >= 2 commutation alone is weaker (the forward and
 backward weights of a class can scale independently), so recover_params
-checks path independence, detailed balance and per-class constancy, and
-raises ConsistencyError for commuting models outside the parametrized
-family.  Parameters are determined up to one global constant.
+checks that every edge gives its class one weight, and raises
+ConsistencyError for commuting models outside the parametrized family.
+Parameters are determined up to one global constant.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     ConsistencyError,
@@ -32,11 +33,11 @@ from .errors import (
     PositivityError,
     UnsupportedConfigError,
 )
-from .lattice import build_grid, directed_edges, edge_between, shifted
-from .model import TransitionModel
+from .lattice import edge_columns, edge_pairs, edge_table, grid_states
+from .model import TransitionModel, edge_vector
 
-# relative tolerance for cross-path and cross-representative agreement:
-# products of at most sum(n_i) O(1) factors keep relative error near
+# relative tolerance for the agreement of a class's edges: beta is a
+# product of at most sum(n_i) O(1) factors, which keeps relative error near
 # machine precision
 CONSISTENCY_RTOL = 1e-9
 
@@ -51,25 +52,18 @@ class EdgeClass(NamedTuple):
 
 def edge_classes(shape):
     """All edge classes, ordered by direction, jump size, offset."""
-    out = []
-    lmax = max(shape.l1, shape.l2)
-    for i in range(1, shape.q + 1):
-        for x in range(1, lmax + 1):
-            for r in range(0, shape.dims[i - 1] - x + 1):
-                out.append(EdgeClass(i, r, x))
-    return out
+    return [EdgeClass(*c) for c in edge_table(shape).classes.tolist()]
 
 
 def edge_class_of(shape, u, v):
     """The class of the adjacent pair {u, v}; symmetric in u and v."""
-    e = edge_between(shape, u, v)
-    if e is None:
+    col = int(edge_columns(shape, [(tuple(u), tuple(v))])[0])
+    if col < 0:
         raise DomainError(
             "states %s and %s are not adjacent on the grid"
             % (tuple(u), tuple(v))
         )
-    i = e.direction
-    return EdgeClass(i, min(e.u[i - 1], e.v[i - 1]), abs(e.step))
+    return edge_classes(shape)[edge_table(shape).cls[col]]
 
 
 @dataclass
@@ -88,8 +82,8 @@ class Parametrization:
     def __post_init__(self):
         self.alpha = {tuple(u): float(a) for u, a in self.alpha.items()}
         self.gamma = {EdgeClass(*c): float(g) for c, g in self.gamma.items()}
-        grid = build_grid(self.shape)
-        for u in grid.states:
+        states = grid_states(self.shape)
+        for u in states:
             if u not in self.alpha:
                 raise DomainError("alpha missing entry for state %s" % (u,))
             if self.alpha[u] <= 0.0:
@@ -97,8 +91,8 @@ class Parametrization:
                     "alpha at %s must be strictly positive (got %r)"
                     % (u, self.alpha[u])
                 )
-        if len(self.alpha) != len(grid.states):
-            extra = set(self.alpha) - set(grid.states)
+        if len(self.alpha) != len(states):
+            extra = set(self.alpha) - set(states)
             raise DomainError(
                 "alpha has entries for off-grid states: %s" % sorted(extra)
             )
@@ -124,12 +118,7 @@ def param_counts(shape):
             "parameter counts assume equal jump bounds (l1=%d, l2=%d)"
             % (shape.l1, shape.l2)
         )
-    edge = sum(
-        shape.dims[i] - x + 1
-        for i in range(shape.q)
-        for x in range(1, shape.l1 + 1)
-    )
-    return edge, shape.n_states
+    return len(edge_table(shape).classes), shape.n_states
 
 
 def build_model(p, self_prob=None, absorbing=False):
@@ -138,30 +127,23 @@ def build_model(p, self_prob=None, absorbing=False):
     Raw outputs need not be sub-stochastic; Perron rescaling makes them so.
     Classes with gamma = 0 contribute no edge.
     """
-    probs = {}
-    for e in directed_edges(p.shape):
-        g = p.gamma[edge_class_of(p.shape, e.u, e.v)]
-        if g != 0.0:
-            probs[(e.u, e.v)] = p.alpha[e.u] * g / p.alpha[e.v]
+    t = edge_table(p.shape)
+    alpha = np.array([p.alpha[u] for u in grid_states(p.shape)])
+    gamma = np.array([p.gamma[c] for c in edge_classes(p.shape)])[t.cls]
+    prob = alpha[t.src] * gamma / alpha[t.dst]
+    probs = {e: x for e, x, g in zip(edge_pairs(p.shape), prob.tolist(),
+                                     gamma.tolist()) if g != 0.0}
     return TransitionModel(p.shape, probs, self_prob, absorbing)
-
-
-def _unit_neighbors(shape, u):
-    for i in range(1, shape.q + 1):
-        if u[i - 1] + 1 <= shape.dims[i - 1]:
-            yield shifted(u, i, 1)
-        if u[i - 1] - 1 >= 0:
-            yield shifted(u, i, -1)
 
 
 def recover_params(model):
     """Invert the parametrization of a positive commuting model.
 
-    beta is built breadth-first from the origin along unit steps; every
-    revisit cross-checks the path product, every edge is then checked for
-    detailed balance, and every class representative for translation
-    invariance, all at relative tolerance 1e-9.  Disagreement means the
-    model does not commute.
+    beta is the product of forward over backward probabilities along unit
+    steps from the origin, direction by direction.  Every edge must then
+    give its class the same gamma = p(u, v) alpha_v / alpha_u (relative
+    tolerance 1e-9): this is detailed balance on every edge, which makes
+    beta path-independent, plus translation invariance of every class.
     """
     shape = model.shape
     if shape.l1 != shape.l2:
@@ -169,65 +151,44 @@ def recover_params(model):
             "recovery assumes equal jump bounds (l1=%d, l2=%d)"
             % (shape.l1, shape.l2)
         )
-    edges = directed_edges(shape)
-    for e in edges:
-        if model.p(e.u, e.v) <= 0.0:
-            raise PositivityError(
-                "recovery needs strictly positive probabilities; "
-                "edge %s->%s has %r" % (e.u, e.v, model.p(e.u, e.v))
-            )
+    t = edge_table(shape)
+    prob, _ = edge_vector(model)
+    bad = np.flatnonzero(prob <= 0.0)
+    if bad.size:
+        raise PositivityError(
+            "recovery needs strictly positive probabilities; edge %s->%s "
+            "has %r" % (*edge_pairs(shape)[bad[0]], prob[bad[0]])
+        )
 
-    origin = (0,) * shape.q
-    beta = {origin: 1.0}
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
-        for v in _unit_neighbors(shape, u):
-            cand = beta[u] * model.p(u, v) / model.p(v, u)
-            if v in beta:
-                if abs(cand - beta[v]) > CONSISTENCY_RTOL * max(cand, beta[v]):
-                    raise ConsistencyError(
-                        "path products from the origin disagree at %s "
-                        "(%.17g vs %.17g): model does not commute"
-                        % (v, beta[v], cand)
-                    )
-            else:
-                beta[v] = cand
-                queue.append(v)
+    back = t.column[:, :, shape.l1]  # the unit backward moves
+    ratio = np.where(back >= 0, prob[t.reverse[back]] / prob[back], 1.0)
+    ratio = ratio.reshape(tuple(n + 1 for n in shape.dims) + (shape.q,))
+    beta = np.ones(())
+    for i in range(shape.q):  # the later coordinates stay at 0
+        at = (slice(None),) * (i + 1) + (0,) * (shape.q - i - 1) + (i,)
+        beta = beta[..., None] * np.cumprod(ratio[at], axis=-1)
+    alpha = beta.ravel() ** -0.5
 
-    for e in edges:
-        lhs = beta[e.u] * model.p(e.u, e.v)
-        rhs = beta[e.v] * model.p(e.v, e.u)
-        if abs(lhs - rhs) > CONSISTENCY_RTOL * max(abs(lhs), abs(rhs)):
-            raise ConsistencyError(
-                "detailed balance fails on edge %s->%s "
-                "(%.17g vs %.17g): model does not commute" % (e.u, e.v, lhs, rhs)
-            )
-
-    alpha = {u: b ** -0.5 for u, b in beta.items()}
-
-    gamma = {}
-    for e in edges:
-        if e.step < 0:
-            continue
-        c = edge_class_of(shape, e.u, e.v)
-        val = model.p(e.u, e.v) * alpha[e.v] / alpha[e.u]
-        if c in gamma:
-            if abs(val - gamma[c]) > CONSISTENCY_RTOL * max(val, gamma[c]):
-                raise ConsistencyError(
-                    "edge parameter differs across class %s "
-                    "(%.17g at %s->%s vs %.17g): model does not commute"
-                    % (c, val, e.u, e.v, gamma[c])
-                )
-        else:
-            gamma[c] = val
-    return Parametrization(shape, alpha, gamma)
+    val = prob * alpha[t.dst] / alpha[t.src]
+    _, first = np.unique(t.cls, return_index=True)
+    ref = val[first][t.cls]
+    rel = np.abs(val - ref) / np.maximum(val, ref)
+    k = int(np.argmax(rel))
+    if rel[k] > CONSISTENCY_RTOL:
+        raise ConsistencyError(
+            "edge parameter differs across class %s "
+            "(%.17g at %s->%s vs %.17g): model does not commute"
+            % (edge_classes(shape)[t.cls[k]], val[k], *edge_pairs(shape)[k],
+               ref[k])
+        )
+    return Parametrization(shape, dict(zip(grid_states(shape), alpha.tolist())),
+                           dict(zip(edge_classes(shape), val[first].tolist())))
 
 
 def detailed_balance_check(model, beta, tol=1e-10):
     """(bool, worst) for |beta_u p(u,v) - beta_v p(v,u)| <= tol on all edges.
 
-    worst is (u, v, violation) for the largest violation (None if no edges).
+    worst is (u, v, violation) for the largest violation.
     """
     beta = {tuple(u): float(b) for u, b in beta.items()}
     for u, b in beta.items():
@@ -235,16 +196,12 @@ def detailed_balance_check(model, beta, tol=1e-10):
             raise PositivityError(
                 "beta at %s must be strictly positive (got %r)" % (u, b)
             )
-    grid = build_grid(model.shape)
-    worst = None
-    worst_violation = -1.0
-    for e in directed_edges(model.shape):
-        if grid.index_of(e.u) > grid.index_of(e.v):
-            continue
-        violation = abs(
-            beta[e.u] * model.p(e.u, e.v) - beta[e.v] * model.p(e.v, e.u)
-        )
-        if violation > worst_violation:
-            worst = (e.u, e.v, violation)
-            worst_violation = violation
-    return worst_violation <= tol, worst
+    t = edge_table(model.shape)
+    b = np.array([beta[u] for u in grid_states(model.shape)])
+    prob, _ = edge_vector(model)
+    up = np.flatnonzero(t.step > 0)
+    back = np.where(t.reverse[up] >= 0, prob[t.reverse[up]], 0.0)
+    violation = np.abs(b[t.src[up]] * prob[up] - b[t.dst[up]] * back)
+    k = int(np.argmax(violation))
+    worst = edge_pairs(model.shape)[up[k]] + (float(violation[k]),)
+    return worst[2] <= tol, worst

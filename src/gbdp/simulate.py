@@ -14,8 +14,8 @@ terminates and is reported under the key None.
 import numpy as np
 
 from .errors import DomainError
-from .lattice import build_grid
-from .model import ROW_SUM_TOL, row_mass
+from .lattice import edge_table, grid_states
+from .model import ROW_SUM_TOL, edge_vector, row_mass, self_vector
 
 
 def _require_samplable(model):
@@ -34,18 +34,19 @@ def _require_samplable(model):
 
 
 def _transition_table(model):
-    """state -> (targets ordered by linear index then self, cumulative bounds)."""
-    grid = build_grid(model.shape)
-    outgoing = {u: [] for u in grid.states}
-    for (u, v), p in model.probs.items():
-        outgoing[u].append((grid.index_of(v), v, p))
-    table = {}
-    for u in grid.states:
-        moves = sorted(outgoing[u])
-        targets = [v for _, v, _ in moves] + [u]
-        cum = np.cumsum([p for _, _, p in moves] + [model.self_of(u)])
-        table[u] = (targets, cum)
-    return table
+    """state -> (targets ordered by linear index then self, cumulative bounds)
+    over the grid's edges, as in row_mass: illegal keys are never taken."""
+    t = edge_table(model.shape)
+    states = grid_states(model.shape)
+    prob, _ = edge_vector(model)
+    order = np.lexsort((t.dst, t.src))
+    ends = np.searchsorted(t.src[order], range(len(states) + 1)).tolist()
+    targets = [states[v] for v in t.dst[order].tolist()]
+    probs, stay = prob[order].tolist(), self_vector(model).tolist()
+    return {
+        u: (targets[a:b] + [u], np.cumsum(probs[a:b] + [stay[k]]))
+        for k, (u, a, b) in enumerate(zip(states, ends, ends[1:]))
+    }
 
 
 def _pick(targets, cum, r, absorbing):
@@ -68,8 +69,9 @@ def empirical_kstep(model, u0, k, trials, seed):
     if int(k) != k or k < 0:
         raise DomainError("step count must be a non-negative integer, got %r" % (k,))
     _require_samplable(model)
-    build_grid(model.shape).index_of(u0)  # domain check
     table = _transition_table(model)
+    if u0 not in table:
+        raise DomainError("state %s is not on the grid" % (u0,))
     counts = {}
     for t in range(trials):
         rng = np.random.Generator(

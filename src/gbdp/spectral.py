@@ -27,8 +27,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
-from .lattice import build_grid
-from .param import EdgeClass
+from .lattice import grid_states
+from .param import edge_classes
 
 # residual bound for eigendecomposition contracts (reconstruction,
 # orthonormality, symmetry of the input)
@@ -50,14 +50,10 @@ def block_decompose(p):
             "block decomposition needs equal jump bounds (l1=%d, l2=%d): "
             "the blocks would not be symmetric" % (shape.l1, shape.l2)
         )
-    blocks = []
-    for i in range(1, shape.q + 1):
-        n = shape.dims[i - 1]
-        u = np.zeros((n + 1, n + 1))
-        for x in range(1, shape.l1 + 1):
-            for r in range(0, n - x + 1):
-                u[r, r + x] = u[r + x, r] = p.gamma[EdgeClass(i, r, x)]
-        blocks.append(u)
+    blocks = [np.zeros((n + 1, n + 1)) for n in shape.dims]
+    for c in edge_classes(shape):
+        u, r, x = blocks[c.direction - 1], c.offset, c.step
+        u[r, r + x] = u[r + x, r] = p.gamma[c]
     return BlockDecomposition(shape, dict(p.alpha), blocks)
 
 
@@ -73,8 +69,7 @@ def direction_operator(decomp, i):
 
 def b_vector(decomp):
     """Diagonal of B in lattice index order."""
-    grid = build_grid(decomp.shape)
-    return np.array([decomp.b[u] for u in grid.states])
+    return np.array([decomp.b[u] for u in grid_states(decomp.shape)])
 
 
 @dataclass

@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, StructureError
-from .lattice import build_grid
+from .lattice import grid_states
 from .param import Parametrization
 from .spectral import axis_eigensystems
 
@@ -118,8 +118,7 @@ def normalize_stochastic(p, alpha_self=0.0):
     rho = sum(float(s.values[-1]) for s in systems)
     v = reduce(np.kron, [s.vectors[:, -1] for s in systems])
     c = (1.0 - a) / rho
-    grid = build_grid(p.shape)
-    alpha = {u: float(v[0] / v[k]) for k, u in enumerate(grid.states)}
+    alpha = dict(zip(grid_states(p.shape), (v[0] / v).tolist()))
     gamma = {cls: c * g for cls, g in p.gamma.items()}
     return Parametrization(p.shape, alpha, gamma)
 

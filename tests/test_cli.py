@@ -1,8 +1,10 @@
 """End-to-end command-line checks, mostly in-process."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +74,16 @@ def test_check_commute_tolerance_sources(bad_model, monkeypatch):
                  "--tol", "1e-12"]) == 1
     monkeypatch.delenv("GBDP_TOL")
     assert main(["check-commute", "--model", bad_model]) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-1e-9", "nan", "inf"])
+def test_a_malformed_tolerance_variable_is_an_input_error(
+    good_model, monkeypatch, capsys, value
+):
+    monkeypatch.setenv("GBDP_TOL", value)
+    assert main(["check-commute", "--model", good_model]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "GBDP_TOL" in err
 
 
 def test_check_commute_is_vacuous_in_one_dimension(tmp_path, capsys):
@@ -203,10 +215,19 @@ def test_simulate_rejects_an_off_grid_start(good_model, capsys):
     assert "not on the grid" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_malformed_start(good_model, capsys):
+    assert main(["simulate", "--model", good_model, "--from", "1,x",
+                 "--k", "1", "--trials", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--from must be comma-separated integers" in err
+
+
 def test_module_entry_point_runs():
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "gbdp", "ranks", "--dims", "1,1", "--l", "1"],
         capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
     assert proc.returncode == 0
     assert "rank Q + rank R = columns: yes" in proc.stdout

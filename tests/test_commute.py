@@ -6,14 +6,15 @@ import pytest
 from gbdp import (
     GridShape,
     TransitionModel,
+    build_grid,
     commutes_direct,
     constraint_residuals,
     pair_constraints,
     rank1_minor_report,
 )
-from gbdp.commute import Constraint, constraint_edges
+from gbdp.commute import Constraint, constraint_columns, constraint_edges
 from gbdp.errors import DomainError, UnsupportedConfigError
-from gbdp.lattice import directed_edges
+from gbdp.lattice import directed_edges, in_grid, shifted
 from conftest import EXP_SHAPE, make_commuting_model
 
 
@@ -94,6 +95,44 @@ def test_exp_shape_generates_the_thirty_six_constraints():
     c = cons[0]
     assert c.base == (0, 0) and (c.i, c.j) == (1, 2)
     assert c.step_i > 0 and c.step_j > 0
+
+
+def brute_constraints(shape, i, j):
+    """Every (base, a, b) with all four corners on the grid, in the
+    documented order: base (lattice order), family, |a|, |b|."""
+    bounds = {1: shape.l1, -1: shape.l2}
+    out = []
+    for u in build_grid(shape).states:
+        for family, (si, sj) in enumerate(((1, 1), (1, -1), (-1, 1),
+                                           (-1, -1)), 1):
+            for xa in range(1, bounds[si] + 1):
+                for xb in range(1, bounds[sj] + 1):
+                    v = shifted(shifted(u, i, si * xa), j, sj * xb)
+                    if in_grid(shape, v):
+                        out.append(Constraint(family, i, j, u, si * xa,
+                                              sj * xb))
+    return out
+
+
+@pytest.mark.parametrize("dims,l1,l2", [
+    ((2, 2), 2, 2), ((3, 2), 2, 1), ((2, 3), 1, 2), ((2, 1, 2), 1, 1),
+    ((2, 2, 2), 2, 1), ((3, 2, 2), 2, 2),
+])
+def test_constraint_columns_are_the_edges_of_each_constraint(dims, l1, l2):
+    shape = GridShape(dims, l1, l2)
+    pairs = [(e.u, e.v) for e in directed_edges(shape)]
+    for i in range(1, shape.q + 1):
+        for j in range(1, shape.q + 1):
+            if i == j:
+                continue
+            cons = pair_constraints(shape, i, j)
+            assert cons == brute_constraints(shape, i, j)
+            columns = np.array(constraint_columns(shape, i, j)).T
+            assert len(columns) == len(cons)
+            for c, (a1, a2, b1, b2) in zip(cons, columns.tolist()):
+                left, right = constraint_edges(c)
+                assert (pairs[a1], pairs[a2]) == left
+                assert (pairs[b1], pairs[b2]) == right
 
 
 def test_constraint_edges_of_the_unit_square_identity():

@@ -1,5 +1,7 @@
 """Grid enumeration, indexing, edge structure, adjacency and Laplacian."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,13 @@ from gbdp import (
     integer_rank,
 )
 from gbdp.errors import DomainError, ShapeError
-from gbdp.lattice import in_grid, shifted
+from gbdp.lattice import edge_columns, edge_table, in_grid, shifted
+from gbdp.param import edge_class_of, edge_classes
+
+# q = 1, 2, 3, with and without l1 = l2
+TABLE_SWEEP = [((1,), 1, 1), ((3,), 2, 1), ((4,), 1, 3), ((2, 2), 2, 2),
+               ((3, 2), 2, 1), ((2, 3), 1, 2), ((2, 1, 2), 1, 1),
+               ((2, 2, 2), 2, 1), ((3, 2, 2), 2, 2)]
 
 
 def test_two_by_two_grid_lists_states_lexicographically():
@@ -167,3 +175,47 @@ def test_edge_between_rejects_diagonal_and_oversized_moves():
     assert edge_between(shape, (0, 0), (0, 0)) is None
     e = edge_between(shape, (2, 0), (1, 0))
     assert e.direction == 1 and e.step == -1
+
+
+@pytest.mark.parametrize("dims,l1,l2", TABLE_SWEEP)
+def test_edge_table_lists_exactly_the_pairs_edge_between_accepts(dims, l1, l2):
+    shape = GridShape(dims, l1, l2)
+    states = list(product(*(range(n + 1) for n in dims)))
+    assert build_grid(shape).states == states
+    index = {u: k for k, u in enumerate(states)}
+    brute = []
+    for u in states:
+        edges = [e for e in (edge_between(shape, u, v) for v in states) if e]
+        edges.sort(key=lambda e: (e.direction, e.step < 0, abs(e.step)))
+        brute += [(index[e.u], index[e.v], e.direction, e.step) for e in edges]
+    t = edge_table(shape)
+    table = list(zip(t.src.tolist(), t.dst.tolist(), t.direction.tolist(),
+                     t.step.tolist()))
+    assert table == brute
+    pairs = [(states[s], states[d]) for s, d, _, _ in brute]
+    assert edge_columns(shape, pairs).tolist() == list(range(len(brute)))
+    assert [(e.u, e.v) for e in directed_edges(shape)] == pairs
+    reverse = [pairs.index((v, u)) if (v, u) in pairs else -1
+               for u, v in pairs]
+    assert t.reverse.tolist() == reverse
+
+
+@pytest.mark.parametrize("dims,l1,l2", TABLE_SWEEP)
+def test_edge_table_classes_follow_edge_classes_order(dims, l1, l2):
+    shape = GridShape(dims, l1, l2)
+    lmax = max(l1, l2)
+    classes = [(i + 1, r, x) for i, n in enumerate(dims)
+               for x in range(1, lmax + 1) for r in range(n - x + 1)]
+    assert edge_classes(shape) == classes
+    t = edge_table(shape)
+    for e, k in zip(directed_edges(shape), t.cls.tolist()):
+        i = e.direction
+        cls = (i, min(e.u[i - 1], e.v[i - 1]), abs(e.step))
+        assert classes[k] == cls == edge_class_of(shape, e.u, e.v)
+
+
+def test_edge_table_is_read_only_and_built_once_per_shape():
+    shape = GridShape((2, 2), 2, 2)
+    assert edge_table(GridShape((2, 2), 2, 2)) is edge_table(shape)
+    with pytest.raises(ValueError):
+        edge_table(shape).src[0] = 5

@@ -128,3 +128,24 @@ def test_sink_mass_accounting():
     model = TransitionModel(shape, {((0,), (1,)): 0.75}, absorbing=True)
     mass = row_mass(model)
     assert mass.tolist() == [0.75, 0.0]
+
+
+@pytest.mark.parametrize("key", [
+    ((1,), (0,)),  # wrong length
+    ((2, 0), (3, 0)),  # off the grid
+    ((1, 1), (0, 0)),  # diagonal
+    ((0, 0), (2, 0)),  # jump larger than l1
+    ((1, 1), (1, 1)),  # self-loop
+])
+def test_malformed_keys_are_reported_and_otherwise_ignored(key):
+    shape = GridShape((2, 2), 1, 1)
+    good = make_commuting_model(shape, np.random.default_rng(5),
+                                self_prob={(1, 1): 0.25})
+    bad = TransitionModel(shape, {**good.probs, key: 0.5},
+                          self_prob=good.self_prob)
+    message = "edge %s->%s exits grid or is not a legal jump" % key
+    assert message in validate(bad) and message not in validate(good)
+    assert (row_mass(bad) == row_mass(good)).all()
+    assert (full_matrix(bad) == full_matrix(good)).all()
+    for i in (1, 2):
+        assert (directional_matrix(bad, i) == directional_matrix(good, i)).all()

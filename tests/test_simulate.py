@@ -12,6 +12,8 @@ from gbdp import (
     full_matrix,
     matrix_power,
     normalize_stochastic,
+    row_mass,
+    validate,
 )
 from gbdp.errors import DomainError
 from gbdp.simulate import _pick, _transition_table
@@ -49,6 +51,24 @@ def test_step_sends_missing_mass_to_the_sink():
     assert draw(model, (0,), 0.2) == (1,)
     assert draw(model, (0,), 0.7) is None
     assert draw(model, (1,), 0.1) is None
+
+
+def test_the_sampler_never_takes_a_key_that_is_not_an_edge():
+    # (1,1) -> (0,0) is diagonal: validate rejects it and row_mass ignores
+    # it, so the sampler must ignore it too
+    probs = {((1, 1), (1, 0)): 0.5, ((1, 1), (0, 1)): 0.5,
+             ((1, 1), (0, 0)): 0.5}
+    for u, vs in (((0, 0), [(1, 0), (0, 1)]), ((1, 0), [(0, 0), (1, 1)]),
+                  ((0, 1), [(0, 0), (1, 1)])):
+        probs.update({(u, v): 0.5 for v in vs})
+    model = TransitionModel(GridShape((1, 1), 1, 1), probs)
+    assert validate(model) == [
+        "edge (1, 1)->(0, 0) exits grid or is not a legal jump"
+    ]
+    assert row_mass(model).tolist() == [1.0] * 4
+    freq = empirical_kstep(model, (1, 1), 1, 10000, seed=1)
+    assert set(freq) == {(1, 0), (0, 1)}
+    assert abs(freq[(1, 0)] - 0.5) <= 0.02
 
 
 def test_zero_steps_is_a_point_mass():
