@@ -28,7 +28,7 @@ import json
 import math
 
 from .errors import FormatError
-from .lattice import GridShape, edge_between, in_grid
+from .lattice import GridShape, edge_between, edge_columns, in_grid
 from .model import TransitionModel
 from .param import Parametrization
 
@@ -115,6 +115,17 @@ def _state_key(u):
     return ",".join(str(c) for c in u)
 
 
+def _edge_ends(entry):
+    """(from, to) of an edge entry as tuples, if the entry is well formed."""
+    _check_keys(entry, ("from", "to", "prob"), (), "edge")
+    for end in ("from", "to"):
+        if not _is_int_list(entry[end]):
+            raise FormatError(
+                "edge %s must be a list of integers, got %r" % (end, entry[end])
+            )
+    return tuple(entry["from"]), tuple(entry["to"])
+
+
 def load_model(path):
     doc = _load_json(path, "model file")
     _check_keys(doc, ("format_version", "shape", "edges"),
@@ -123,17 +134,23 @@ def load_model(path):
     shape = _parse_shape(doc["shape"])
     if not isinstance(doc["edges"], list):
         raise FormatError("model edges must be a list")
-    probs = {}
+    # entries are checked in file order and the first fault is raised;
+    # legality is checked for all well-formed leading entries at once
+    pairs, fault = [], None
     for entry in doc["edges"]:
-        _check_keys(entry, ("from", "to", "prob"), (), "edge")
-        for end in ("from", "to"):
-            if not _is_int_list(entry[end]):
-                raise FormatError(
-                    "edge %s must be a list of integers, got %r"
-                    % (end, entry[end])
-                )
-        u, v = tuple(entry["from"]), tuple(entry["to"])
-        if edge_between(shape, u, v) is None:
+        try:
+            pairs.append(_edge_ends(entry))
+        except FormatError as exc:
+            fault = exc
+            break
+    try:
+        legal = (edge_columns(shape, pairs) >= 0).tolist()
+    except OverflowError:  # a coordinate no float holds is on no grid
+        legal = [edge_between(shape, u, v) is not None for u, v in pairs]
+    probs = {}
+    for key, entry, ok in zip(pairs, doc["edges"], legal):
+        u, v = key
+        if not ok:
             raise FormatError(
                 "edge %s->%s exits the grid or is not a legal jump" % (u, v)
             )
@@ -142,9 +159,11 @@ def load_model(path):
             raise FormatError(
                 "edge %s->%s probability %r outside (0, 1]" % (u, v, entry["prob"])
             )
-        if (u, v) in probs:
+        if key in probs:
             raise FormatError("duplicate edge %s->%s" % (u, v))
-        probs[(u, v)] = p
+        probs[key] = p
+    if fault is not None:
+        raise fault
     self_prob = doc.get("self")
     if isinstance(self_prob, dict):
         parsed = {}

@@ -140,13 +140,18 @@ def edge_columns(shape, pairs):
     ends = chain.from_iterable(u + v for (u, v), f in zip(pairs, fit) if f)
     uv = np.fromiter(ends, float, 2 * q * sum(fit)).reshape(-1, 2, q)
     on = ((uv == np.floor(uv)) & (uv >= 0) & (uv <= shape.dims)).all((1, 2))
-    src, dst = np.ravel_multi_index(uv[on].astype(int).transpose(2, 1, 0),
-                                    np.add(shape.dims, 1))
-    cand = t.column.reshape(len(t.column), -1)[src]
-    hit = (cand >= 0) & (t.dst[cand] == dst[:, None])
+    u, v = uv[on].astype(int).transpose(1, 0, 2)
+    d = v - u
+    axis = np.abs(d).argmax(axis=1)
+    step = d[np.arange(len(d)), axis]
+    lmax = max(shape.l1, shape.l2)
+    move = ((d != 0).sum(axis=1) == 1) & (np.abs(step) <= lmax)
+    # the slot of a move along `axis` by `step` in t.column
+    slot = np.where(step > 0, step - 1, lmax - step - 1)
+    src = np.ravel_multi_index(u.T, np.add(shape.dims, 1))
     out = np.full(len(pairs), -1)
     out[np.flatnonzero(fit)[on]] = np.where(
-        hit.any(axis=1), cand[np.arange(len(src)), hit.argmax(axis=1)], -1)
+        move, t.column[src, axis, np.where(move, slot, 0)], -1)
     return out
 
 

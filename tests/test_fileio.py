@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +131,26 @@ def test_model_files_are_parsed_strictly(tmp_path, mutate, message):
         load_model(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("entries,message", [
+    ([{"from": [0], "to": [1]}, {"from": [1], "to": [3], "prob": 0.5}],
+     "edge is missing keys"),
+    ([{"from": [1], "to": [3], "prob": 0.5}, {"from": [0], "to": [1]}],
+     "exits the grid"),
+    ([{"from": [1], "to": [0], "prob": 2.0}, {"from": [0], "to": [True],
+                                               "prob": 0.5}],
+     "outside \\(0, 1\\]"),
+    ([{"from": [0], "to": [True], "prob": 0.5},
+      {"from": [1], "to": [0], "prob": 2.0}, {"from": [0], "prob": 0.5}],
+     "edge to must be a list of integers"),
+    ([{"from": [0], "to": [10 ** 400], "prob": 0.5}], "exits the grid"),
+])
+def test_the_first_faulty_edge_entry_is_reported(tmp_path, entries, message):
+    doc = _base_doc()
+    doc["edges"] = [{"from": [0], "to": [1], "prob": 0.5}] + entries
+    with pytest.raises(FormatError, match=message):
+        load_model(_write(tmp_path, doc))
+
+
 def test_malformed_json_is_reported(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("{not json")
@@ -195,7 +216,7 @@ def test_state_label_format():
 def test_int_matrix_triplet_dump(tmp_path):
     m = IntMatrix(np.array([[0, 2], [-1, 0]]), ["r0", "r1"], ["c0", "c1"])
     paths = dump_int_matrix(m, str(tmp_path / "mat"))
-    triplets, rows, cols = (open(p).read() for p in paths)
+    triplets, rows, cols = (Path(p).read_text() for p in paths)
     assert triplets == "0 1 2\n1 0 -1\n"
     assert rows == "r0\nr1\n"
     assert cols == "c0\nc1\n"

@@ -15,7 +15,8 @@ from gbdp import (
     integer_rank,
 )
 from gbdp.errors import DomainError, ShapeError
-from gbdp.lattice import edge_columns, edge_table, in_grid, shifted
+from gbdp.lattice import (
+    edge_columns, edge_pairs, edge_table, in_grid, shifted)
 from gbdp.param import edge_class_of, edge_classes
 
 # q = 1, 2, 3, with and without l1 = l2
@@ -198,6 +199,18 @@ def test_edge_table_lists_exactly_the_pairs_edge_between_accepts(dims, l1, l2):
     reverse = [pairs.index((v, u)) if (v, u) in pairs else -1
                for u, v in pairs]
     assert t.reverse.tolist() == reverse
+
+
+@pytest.mark.parametrize("dims,l1,l2", TABLE_SWEEP)
+def test_edge_columns_find_exactly_the_pairs_edge_between_accepts(dims, l1, l2):
+    shape = GridShape(dims, l1, l2)
+    box = list(product(*(range(-1, n + 2) for n in dims)))  # one step off
+    pairs = [(u, v) for u in box for v in box]
+    pairs += [(u[1:], v) for u, v in pairs[:50]]
+    pairs += [(u, v + (0,)) for u, v in pairs[:50]]
+    column = {pair: k for k, pair in enumerate(edge_pairs(shape))}
+    assert edge_columns(shape, pairs).tolist() == [
+        column[(u, v)] if edge_between(shape, u, v) else -1 for u, v in pairs]
 
 
 @pytest.mark.parametrize("dims,l1,l2", TABLE_SWEEP)

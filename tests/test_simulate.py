@@ -1,10 +1,14 @@
 """Monte Carlo sampling against exact transition rows."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import sampler_oracle
 from gbdp import (
     GridShape,
+    Parametrization,
     TransitionModel,
     build_grid,
     build_model,
@@ -16,7 +20,8 @@ from gbdp import (
     validate,
 )
 from gbdp.errors import DomainError
-from gbdp.simulate import _pick, _transition_table
+from gbdp.lattice import grid_states
+from gbdp.simulate import CHUNK, cdf_table, philox_uniforms, step
 from conftest import EXP_SHAPE, make_parametrization
 
 
@@ -30,9 +35,11 @@ CHAIN = TransitionModel(
 
 def draw(model, u, r):
     """One transition from u on the uniform draw r, through the sampler's
-    own table; returns the next state, or None if absorbed."""
-    targets, cum = _transition_table(model)[u]
-    return _pick(targets, cum, r, model.absorbing)
+    own table and step; returns the next state, or None if absorbed."""
+    states = grid_states(model.shape)
+    bounds, targets = cdf_table(model)
+    (v,) = step(bounds, targets, np.array([states.index(u)]), np.array([r]))
+    return states[v] if v < len(states) else None
 
 
 def test_step_picks_by_cumulative_interval():
@@ -136,9 +143,69 @@ def test_sampling_guards():
         empirical_kstep(heavy, (0,), 1, 10, seed=0)
     with pytest.raises(DomainError, match="trials must be positive"):
         empirical_kstep(CHAIN, (0,), 1, 0, seed=0)
+    for trials in (2.5, 3.0, True, "10", None):
+        with pytest.raises(DomainError, match="trials must be an integer"):
+            empirical_kstep(CHAIN, (0,), 1, trials, seed=0)
     with pytest.raises(DomainError, match="non-negative integer"):
         empirical_kstep(CHAIN, (0,), -1, 10, seed=0)
     with pytest.raises(DomainError, match="non-negative integer"):
         empirical_kstep(CHAIN, (0,), 1.5, 10, seed=0)
+    for seed in (1.5, 5.0, True, "5", None):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            empirical_kstep(CHAIN, (0,), 1, 10, seed=seed)
     with pytest.raises(DomainError, match="not on the grid"):
         empirical_kstep(CHAIN, (9,), 1, 10, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 64 - 1])
+@pytest.mark.parametrize("k", [1, 4, 5, 9])
+def test_uniforms_are_numpy_philox_streams_bit_for_bit(seed, k):
+    first, count = CHUNK - 3, 6  # both sides of a chunk boundary
+    got = np.concatenate(
+        [philox_uniforms(seed, first, count, b) for b in range(-(-k // 4))],
+        axis=1,
+    )[:, :k]
+    for i in range(count):
+        key = np.array([seed % 2 ** 64, first + i], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(k)
+        assert got[i].tobytes() == want.tobytes()
+
+
+def oracle_models(shape):
+    """A stochastic and an absorbing model, both with self mass."""
+    rng = np.random.default_rng(list(shape.dims) + [shape.l1])
+    pn = normalize_stochastic(make_parametrization(shape, rng))
+
+    def scaled(keep):
+        return Parametrization(
+            shape, pn.alpha, {c: keep * g for c, g in pn.gamma.items()})
+
+    return (build_model(scaled(0.7), self_prob=0.3),
+            build_model(scaled(0.7), self_prob=0.2, absorbing=True))
+
+
+@pytest.mark.parametrize("shape, u0", [
+    (GridShape((2, 2), 2, 2), (1, 1)),
+    (GridShape((4, 4, 4), 2, 2), (2, 2, 2)),
+    (GridShape((9, 9), 4, 4), (4, 4)),
+])
+def test_sampler_equals_the_per_trajectory_oracle(shape, u0):
+    trials = CHUNK + 37
+    for model in oracle_models(shape):
+        assert empirical_kstep(model, u0, 5, trials, seed=42) == (
+            sampler_oracle.empirical_kstep(model, u0, 5, trials, seed=42))
+
+
+def test_every_integer_seed_keys_its_own_stream():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = {seed: empirical_kstep(CHAIN, (0,), 4, 2000, seed=seed)
+                for seed in (-1, -2, 2 ** 63 + 5, 2 ** 63 + 6)}
+    assert runs[-1] != runs[-2]
+    assert runs[2 ** 63 + 5] != runs[2 ** 63 + 6]
+    # -1 and 2**64 - 1 are the same key, whatever the integer type
+    for same in (2 ** 64 - 1, np.int64(-1), np.uint64(2 ** 64 - 1)):
+        assert runs[-1] == empirical_kstep(CHAIN, (0,), 4, 2000, seed=same)
+    for seed in (-2, 2 ** 63 + 6):
+        assert runs[seed] == sampler_oracle.empirical_kstep(
+            CHAIN, (0,), 4, 2000, seed)
