@@ -24,11 +24,14 @@ legal grid jump with probability in (0, 1], and self masses must lie in
 """
 
 import csv
+import io
 import json
 import math
 
-from .errors import FormatError
-from .lattice import GridShape, edge_between, edge_columns, in_grid
+import numpy as np
+
+from .errors import DomainError, FormatError, PositivityError, ShapeError
+from .lattice import GridShape, edge_columns, in_grid
 from .model import TransitionModel
 from .param import Parametrization
 
@@ -57,7 +60,11 @@ def _is_int_list(x):
 def _number(x, what):
     """x as a float, if it is a finite JSON number (booleans excluded)."""
     number = isinstance(x, (int, float)) and not isinstance(x, bool)
-    if not (number and math.isfinite(x)):
+    try:
+        finite = number and math.isfinite(x)
+    except OverflowError:  # an integer beyond the double range
+        finite = False
+    if not finite:
         raise FormatError("%s must be a finite number, got %r" % (what, x))
     return float(x)
 
@@ -96,7 +103,10 @@ def _parse_shape(obj):
         )
     if not _is_int(obj["l1"]) or not _is_int(obj["l2"]):
         raise FormatError("shape l1 and l2 must be integers")
-    return GridShape(tuple(obj["dims"]), obj["l1"], obj["l2"])
+    try:
+        return GridShape(tuple(obj["dims"]), obj["l1"], obj["l2"])
+    except ShapeError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _parse_state_key(key, q, what):
@@ -143,10 +153,7 @@ def load_model(path):
         except FormatError as exc:
             fault = exc
             break
-    try:
-        legal = (edge_columns(shape, pairs) >= 0).tolist()
-    except OverflowError:  # a coordinate no float holds is on no grid
-        legal = [edge_between(shape, u, v) is not None for u, v in pairs]
+    legal = (edge_columns(shape, pairs) >= 0).tolist()
     probs = {}
     for key, entry, ok in zip(pairs, doc["edges"], legal):
         u, v = key
@@ -228,7 +235,10 @@ def load_params(path):
                 "gamma key %r is not 'direction,offset,step'" % (key,)
             )
         gamma[(i, r, x)] = _number(g, "gamma %r" % key)
-    return Parametrization(shape, alpha, gamma)
+    try:
+        return Parametrization(shape, alpha, gamma)
+    except (DomainError, PositivityError) as exc:  # alpha or gamma table
+        raise FormatError(str(exc)) from exc
 
 
 def save_params(p, path):
@@ -250,12 +260,24 @@ def state_label(u):
 
 
 def write_matrix_csv(f, labels, matrix):
-    """CSV with a header row of state labels and a label column; entries
-    carry 17 significant digits."""
-    writer = csv.writer(f)
-    writer.writerow(["state"] + [state_label(u) for u in labels])
-    for u, row in zip(labels, matrix):
-        writer.writerow([state_label(u)] + ["%.17g" % x for x in row])
+    """Matrix as CSV: the header row is `state` then the state label of
+    every column, and each row is its state label then its entries as
+    "%.17g".  Labels are quoted by `csv` rules, that is in double quotes
+    when they contain a comma: `"(0,1)"` but `(0)`.  Rows end in \\r\\n.
+
+    Each label is quoted once and each row is one format call, so the
+    per-entry work runs in C; rows are converted one at a time to keep
+    the Python floats of only one row alive.
+    """
+    cells = io.StringIO()
+    csv.writer(cells, lineterminator="\n").writerows(
+        [state_label(u)] for u in labels)
+    names = cells.getvalue().splitlines()
+    f.write(",".join(["state"] + names) + "\r\n")
+    matrix = np.asarray(matrix)
+    row_format = "%s" + ",%.17g" * matrix.shape[1] + "\r\n"
+    for name, row in zip(names, matrix):
+        f.write(row_format % (name, *row.tolist()))
 
 
 def write_frequency_csv(f, freqs, trials):

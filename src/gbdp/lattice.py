@@ -68,6 +68,11 @@ def validate_shape(shape):
             "(got max jump %d on dims %s)"
             % (max(shape.l1, shape.l2), (shape.dims,))
         )
+    if shape.n_states >= 2 ** 63:
+        raise ShapeError(
+            "shape invariant violated: prod(n_i + 1) < 2^63 "
+            "(states are numbered by 64-bit integers)"
+        )
 
 
 class Edge(NamedTuple):
@@ -133,12 +138,23 @@ def grid_states(shape):
     return list(map(tuple, edge_table(shape).coords.tolist()))
 
 
+def _end_coordinates(pairs, fit, q):
+    """The coordinates of the fitting pairs as floats, shape (pairs, 2, q)."""
+    ends = chain.from_iterable(u + v for (u, v), f in zip(pairs, fit) if f)
+    return np.fromiter(ends, float, 2 * q * sum(fit)).reshape(-1, 2, q)
+
+
 def edge_columns(shape, pairs):
     """Edge column of each (u, v) pair; -1 where u -> v is not an edge."""
     t, q = edge_table(shape), shape.q
     fit = [len(u) == q == len(v) for u, v in pairs]
-    ends = chain.from_iterable(u + v for (u, v), f in zip(pairs, fit) if f)
-    uv = np.fromiter(ends, float, 2 * q * sum(fit)).reshape(-1, 2, q)
+    try:
+        uv = _end_coordinates(pairs, fit, q)
+    except OverflowError:  # a coordinate no float holds is on no grid
+        box = shape.dims * 2
+        fit = [f and all(0 <= c <= n for c, n in zip(u + v, box))
+               for (u, v), f in zip(pairs, fit)]
+        uv = _end_coordinates(pairs, fit, q)
     on = ((uv == np.floor(uv)) & (uv >= 0) & (uv <= shape.dims)).all((1, 2))
     u, v = uv[on].astype(int).transpose(1, 0, 2)
     d = v - u
@@ -190,6 +206,8 @@ def edge_between(shape, u, v):
     """The Edge u -> v if the pair is adjacent on the grid, else None."""
     u, v = tuple(u), tuple(v)
     if not (in_grid(shape, u) and in_grid(shape, v)):
+        return None
+    if any(c % 1 for c in u + v):  # fractional coordinates are on no grid
         return None
     diff = [i for i in range(shape.q) if u[i] != v[i]]
     if len(diff) != 1:

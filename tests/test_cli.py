@@ -111,6 +111,21 @@ def test_kstep_zero_is_the_identity(stoch_params, tmp_path):
     assert np.abs(read_matrix_csv(out) - np.eye(9)).max() <= 1e-12
 
 
+def test_kstep_writes_the_same_bytes_to_out_and_to_stdout(stoch_params,
+                                                          tmp_path):
+    _, path = stoch_params
+    out = tmp_path / "k3.csv"
+    args = ["kstep", "--params", path, "--k", "3"]
+    assert main(args + ["--out", str(out)]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "gbdp"] + args,
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0
+    assert proc.stdout == out.read_bytes()
+    assert proc.stdout.startswith(b'state,"(0,0)","(0,1)"')
+
+
 def test_kstep_methods_agree(stoch_params, tmp_path):
     _, path = stoch_params
     a = tmp_path / "spectral.csv"

@@ -1,5 +1,6 @@
 """JSON round trips, strict parsing, CSV and triplet writers."""
 
+import csv
 import io
 import json
 from pathlib import Path
@@ -11,6 +12,7 @@ from gbdp import (
     GridShape,
     IntMatrix,
     TransitionModel,
+    build_grid,
     build_model,
     load_model,
     load_params,
@@ -107,6 +109,9 @@ def _write(tmp_path, doc):
     (lambda d: d["shape"].update(dims=[True]),
      "dims must be a list of integers"),
     (lambda d: d["shape"].update(l1=True), "l1 and l2 must be integers"),
+    (lambda d: d["shape"].update(l1=2), "max\\(l1, l2\\) <= min\\(dims\\)"),
+    (lambda d: d["shape"].update(dims=[10 ** 400]),
+     "prod\\(n_i \\+ 1\\) < 2\\^63"),
     (lambda d: d["edges"][0].update({"from": [False]}),
      "edge from must be a list of integers"),
     (lambda d: d["edges"][0].update(to=[True]),
@@ -170,6 +175,12 @@ def test_params_files_are_parsed_strictly(tmp_path, rng):
         (lambda d: d.update(alpha={"0": 1.0, "x": 1.0}),
          "not a comma-joined state"),
         (lambda d: d.update(alpha=[]), "must be objects"),
+        (lambda d: d["alpha"].pop("1"),
+         "alpha missing entry for state \\(1,\\)"),
+        (lambda d: d["alpha"].update({"2": 1.0}), "off-grid states"),
+        (lambda d: d["alpha"].update({"1": -1.0}),
+         "must be strictly positive"),
+        (lambda d: d["gamma"].update({"1,0,1": -0.5}), "must be non-negative"),
         (lambda d: d.update(format_version=True), "format_version must be 1"),
         (lambda d: d["shape"].update(dims=[True]), "list of integers"),
         (lambda d: d["alpha"].update({"0": "1.0"}),
@@ -196,6 +207,40 @@ def test_matrix_csv_layout():
     assert lines[1] == "(0),0.25,0.75"
     assert lines[2].startswith("(1),0.3333333333333333")
     assert float(lines[2].split(",")[1]) == 1.0 / 3.0
+
+
+def oracle_matrix_csv(f, labels, matrix):
+    """The matrix writer as one csv.writer row and one "%.17g" call per
+    entry: slow, but csv quoting and row ends come straight from csv."""
+    writer = csv.writer(f)
+    writer.writerow(["state"] + [state_label(u) for u in labels])
+    for u, row in zip(labels, matrix):
+        writer.writerow([state_label(u)] + ["%.17g" % x for x in row])
+
+
+# one entry per "%.17g" form: both zeros, a round-off below zero, the
+# exponent forms below 1e-4 and beyond 1e17, and a full 17-digit mantissa
+CSV_ENTRIES = [(0.0, "0"), (-0.0, "-0"), (1.0, "1"),
+               (-2.7755575615628914e-17, "-2.7755575615628914e-17"),
+               (3.5e-05, "3.4999999999999997e-05"), (2.5e17, "2.5e+17"),
+               (1.0 / 3.0, "0.33333333333333331")]
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 1), (1, 1, 1)])
+def test_matrix_csv_bytes_equal_the_per_entry_csv_writer(tmp_path, dims):
+    labels = build_grid(GridShape(dims, 1, 1)).states
+    matrix = np.resize([x for x, _ in CSV_ENTRIES], (len(labels),) * 2)
+    paths = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+    for path, write in zip(paths, (write_matrix_csv, oracle_matrix_csv)):
+        with open(path, "w", newline="") as f:
+            write(f, labels, matrix)
+    fast, oracle = (path.read_bytes() for path in paths)
+    assert fast == oracle
+    assert fast.count(b"\r\n") == fast.count(b"\n") == len(labels) + 1
+    assert (b'"' in fast) == (len(dims) > 1)  # labels with a comma
+    rows = list(csv.reader(io.StringIO(fast.decode(), newline="")))
+    assert {text for _, text in CSV_ENTRIES} <= {
+        cell for row in rows[1:] for cell in row[1:]}
 
 
 def test_frequency_csv_puts_the_sink_last():

@@ -66,6 +66,8 @@ def test_index_of_off_grid_state_is_a_domain_error():
     ((2, 2), 0, 1, "l1 >= 1"),
     ((2, 2), 3, 1, "max\\(l1, l2\\) <= min\\(dims\\)"),
     ((3, 2, 4), 2, 3, "max\\(l1, l2\\) <= min\\(dims\\)"),
+    ((2 ** 32, 2 ** 31), 1, 1, "prod\\(n_i \\+ 1\\) < 2\\^63"),
+    ((1, 10 ** 400), 1, 1, "prod\\(n_i \\+ 1\\) < 2\\^63"),
 ])
 def test_shape_violations_name_the_invariant(dims, l1, l2, bad):
     with pytest.raises(ShapeError, match=bad):
@@ -208,7 +210,13 @@ def test_edge_columns_find_exactly_the_pairs_edge_between_accepts(dims, l1, l2):
     pairs = [(u, v) for u in box for v in box]
     pairs += [(u[1:], v) for u, v in pairs[:50]]
     pairs += [(u, v + (0,)) for u, v in pairs[:50]]
-    column = {pair: k for k, pair in enumerate(edge_pairs(shape))}
+    # fractional coordinates or steps are no edge; integral floats are
+    edges = edge_pairs(shape)
+    half = [tuple(c + 0.5 for c in u) for u, _ in edges]
+    pairs += [(h, tuple(c + 0.5 for c in v)) for h, (_, v) in zip(half, edges)]
+    pairs += [(u, h) for h, (u, _) in zip(half, edges)]
+    pairs += [(tuple(map(float, u)), tuple(map(float, v))) for u, v in edges]
+    column = {pair: k for k, pair in enumerate(edges)}
     assert edge_columns(shape, pairs).tolist() == [
         column[(u, v)] if edge_between(shape, u, v) else -1 for u, v in pairs]
 

@@ -136,6 +136,7 @@ def test_sink_mass_accounting():
     ((1, 1), (0, 0)),  # diagonal
     ((0, 0), (2, 0)),  # jump larger than l1
     ((1, 1), (1, 1)),  # self-loop
+    ((10 ** 400, 0), (0, 0)),  # a coordinate beyond the double range
 ])
 def test_malformed_keys_are_reported_and_otherwise_ignored(key):
     shape = GridShape((2, 2), 1, 1)
