@@ -52,7 +52,6 @@ from .model import (
     directional_matrix,
     full_matrix,
     row_mass,
-    self_matrix,
     validate,
 )
 from .param import (

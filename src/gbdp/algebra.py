@@ -22,8 +22,7 @@ from math import gcd
 import numpy as np
 
 from .commute import constraint_columns, pair_constraints
-from .errors import UnsupportedConfigError
-from .lattice import edge_pairs, edge_table, grid_states
+from .lattice import edge_pairs, edge_table, grid_states, require_equal_bounds
 from .param import edge_classes
 
 
@@ -51,18 +50,10 @@ class IntMatrix:
         return self.entries.shape[1]
 
 
-def _require_equal_bounds(shape, what):
-    if shape.l1 != shape.l2:
-        raise UnsupportedConfigError(
-            "%s assumes equal jump bounds (l1=%d, l2=%d)"
-            % (what, shape.l1, shape.l2)
-        )
-
-
 def build_Q(shape):
     """Constraint matrix: rows ordered by direction pair (i < j), then by
     the constraint order of the commute module."""
-    _require_equal_bounds(shape, "constraint matrix")
+    require_equal_bounds(shape, "constraint matrix")
     pairs = [(i, j) for i in range(1, shape.q + 1)
              for j in range(i + 1, shape.q + 1)]
     cols = np.hstack([constraint_columns(shape, i, j) for i, j in pairs]
@@ -78,7 +69,7 @@ def build_Q(shape):
 
 def build_R(shape):
     """Parameter matrix: vertex rows (lattice order) then class rows."""
-    _require_equal_bounds(shape, "parameter matrix")
+    require_equal_bounds(shape, "parameter matrix")
     t = edge_table(shape)
     states = grid_states(shape)
     classes = edge_classes(shape)
@@ -137,7 +128,7 @@ def _gcd_normalized(row):
 
 def rank_formula_R(shape):
     """Closed form: l*sum(n_i) + prod(n_i + 1) - q*l*(l-1)/2 - 1."""
-    _require_equal_bounds(shape, "rank formula")
+    require_equal_bounds(shape, "rank formula")
     l = shape.l1
     return (
         l * sum(shape.dims)
@@ -150,7 +141,7 @@ def rank_formula_R(shape):
 def rank_formula_Q(shape):
     """Closed form: 2*sum_i sum_x (n_i - x + 1) prod_{j != i}(n_j + 1)
     - l*sum(n_i) - prod(n_i + 1) + q*l*(l-1)/2 + 1."""
-    _require_equal_bounds(shape, "rank formula")
+    require_equal_bounds(shape, "rank formula")
     l = shape.l1
     total = 0
     for i in range(shape.q):
@@ -170,7 +161,7 @@ def rank_formula_Q(shape):
 
 def order_formula_Q(shape):
     """(row count, column count) of Q from the closed-form order expressions."""
-    _require_equal_bounds(shape, "order formula")
+    require_equal_bounds(shape, "order formula")
     l = shape.l1
     rows = 0
     for i in range(shape.q):
@@ -199,10 +190,15 @@ def order_formula_Q(shape):
 @dataclass
 class OrthocomplementReport:
     shape: object
+    Q: IntMatrix
+    R: IntMatrix
     product_zero: bool  # Q R^T is the zero matrix, exact integers
     rank_Q: int
     rank_R: int
-    cols: int
+
+    @property
+    def cols(self):
+        return self.Q.cols
 
     @property
     def ranks_sum_to_cols(self):
@@ -217,11 +213,11 @@ def verify_orthocomplement(shape):
     """Check Q R^T = 0 and rank Q + rank R = column count, both exactly."""
     q = build_Q(shape)
     r = build_R(shape)
-    product = q.entries @ r.entries.T
     return OrthocomplementReport(
         shape=shape,
-        product_zero=not product.any(),
+        Q=q,
+        R=r,
+        product_zero=not (q.entries @ r.entries.T).any(),
         rank_Q=integer_rank(q),
         rank_R=integer_rank(r),
-        cols=q.cols,
     )

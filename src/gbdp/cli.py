@@ -13,13 +13,7 @@ import os
 import sys
 
 from . import commute, fileio
-from .algebra import (
-    build_Q,
-    build_R,
-    integer_rank,
-    rank_formula_Q,
-    rank_formula_R,
-)
+from .algebra import rank_formula_Q, rank_formula_R, verify_orthocomplement
 from .errors import GbdpError
 from .lattice import GridShape, build_grid
 from .model import full_matrix
@@ -108,33 +102,25 @@ def _int_list(text, flag):
 
 def cmd_ranks(args):
     shape = GridShape(_int_list(args.dims, "--dims"), args.l, args.l)
-    q = build_Q(shape)
-    r = build_R(shape)
-    product_zero = not (q.entries @ r.entries.T).any()
-    rank_q = integer_rank(q)
-    rank_r = integer_rank(r)
+    rep = verify_orthocomplement(shape)
+    q, r = rep.Q, rep.R
     formula_q = rank_formula_Q(shape)
     formula_r = rank_formula_R(shape)
     print(
         "Q: %dx%d rank %d (formula %d); R: %dx%d rank %d (formula %d); "
         "QR^T=0: %s; rank Q + rank R = columns: %s"
         % (
-            q.rows, q.cols, rank_q, formula_q,
-            r.rows, r.cols, rank_r, formula_r,
-            "yes" if product_zero else "NO",
-            "yes" if rank_q + rank_r == q.cols else "NO",
+            q.rows, q.cols, rep.rank_Q, formula_q,
+            r.rows, r.cols, rep.rank_R, formula_r,
+            "yes" if rep.product_zero else "NO",
+            "yes" if rep.ranks_sum_to_cols else "NO",
         )
     )
     if args.dump:
         for m, tag in ((q, ".Q"), (r, ".R")):
             paths = fileio.dump_int_matrix(m, args.dump + tag)
             print("wrote " + ", ".join(paths))
-    ok = (
-        product_zero
-        and rank_q + rank_r == q.cols
-        and rank_q == formula_q
-        and rank_r == formula_r
-    )
+    ok = rep.complement and (rep.rank_Q, rep.rank_R) == (formula_q, formula_r)
     return 0 if ok else 1
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
 from .lattice import edge_table, grid_states, shifted
-from .model import directional_matrix, edge_vector
+from .model import directional_matrix
 
 # probabilities are O(1) so products are O(1); absolute tolerance
 DEFAULT_TOL = 1e-12
@@ -101,7 +101,7 @@ def constraint_residuals(model, i, j):
     contributing probability 0.
     """
     left1, left2, right1, right2 = constraint_columns(model.shape, i, j)
-    p, _ = edge_vector(model)
+    p = model.edge_prob
     res = p[left1] * p[left2] - p[right1] * p[right2]
     return list(zip(pair_constraints(model.shape, i, j), res.tolist()))
 

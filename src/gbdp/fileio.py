@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -199,7 +200,7 @@ def save_model(model, path):
         for (u, v), p in sorted(model.probs.items())
     ]
     self_prob = model.self_prob
-    if isinstance(self_prob, dict):
+    if isinstance(self_prob, Mapping):
         self_prob = {_state_key(u): d for u, d in sorted(self_prob.items())}
     doc = {
         "format_version": FORMAT_VERSION,

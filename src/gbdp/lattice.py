@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, UnsupportedConfigError
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,22 @@ def validate_shape(shape):
         raise ShapeError(
             "shape invariant violated: prod(n_i + 1) < 2^63 "
             "(states are numbered by 64-bit integers)"
+        )
+    if shape.n_states * shape.q * 2 * max(shape.l1, shape.l2) >= 2 ** 60:
+        raise ShapeError(
+            "shape invariant violated: prod(n_i + 1) * q * 2 max(l1, l2) "
+            "< 2^60 (the edge table's move lookup holds that many 64-bit "
+            "integers)"
+        )
+
+
+def require_equal_bounds(shape, what):
+    """Raise UnsupportedConfigError unless l1 = l2; `what` names the
+    operation that needs it."""
+    if shape.l1 != shape.l2:
+        raise UnsupportedConfigError(
+            "%s assumes equal jump bounds (l1=%d, l2=%d)"
+            % (what, shape.l1, shape.l2)
         )
 
 

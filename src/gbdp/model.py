@@ -7,12 +7,21 @@ a single scalar shared by all states or a per-state table.  When `absorbing`
 is true, any per-row probability deficit is interpreted as mass sent to an
 implicit sink state that never appears in matrices.
 
-Dense matrices (the directional parts P_i, the self-transition diagonal D
-and the full matrix P = sum_i P_i + D) are materialized on demand in the
+A model is a value: its fields and tables are read-only after construction.
+To change a probability, copy `dict(model.probs)`, edit the copy and build
+a new model.  On first use a model resolves its keys against the shape's
+edge table once, into `edge_prob`, `illegal` and `self_mass`, which every
+consumer reads.
+
+Dense matrices (the directional parts P_i and the full matrix P = sum_i P_i
++ D, with D the diagonal of self masses) are materialized on demand in the
 lattice index order.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,21 +33,21 @@ from .lattice import edge_columns, edge_table, grid_states, in_grid
 ROW_SUM_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionModel:
     shape: object
-    probs: dict  # (u, v) -> probability in (0, 1]
+    probs: Mapping  # (u, v) -> probability in (0, 1]
     self_prob: object = None  # None, scalar in [0, 1), or per-state map
     absorbing: bool = False
 
     def __post_init__(self):
-        self.probs = {
+        object.__setattr__(self, "probs", MappingProxyType({
             (tuple(u), tuple(v)): float(p) for (u, v), p in self.probs.items()
-        }
-        if isinstance(self.self_prob, dict):
-            self.self_prob = {
+        }))
+        if isinstance(self.self_prob, Mapping):
+            object.__setattr__(self, "self_prob", MappingProxyType({
                 tuple(u): float(d) for u, d in self.self_prob.items()
-            }
+            }))
 
     def p(self, u, v):
         return self.probs.get((tuple(u), tuple(v)), 0.0)
@@ -46,25 +55,40 @@ class TransitionModel:
     def self_of(self, u):
         if self.self_prob is None:
             return 0.0
-        if isinstance(self.self_prob, dict):
+        if isinstance(self.self_prob, Mapping):
             return self.self_prob.get(tuple(u), 0.0)
         return float(self.self_prob)
 
+    @cached_property
+    def _columns(self):
+        """The edge_table column of every key, in key order; -1 where the
+        key is no edge."""
+        return edge_columns(self.shape, list(self.probs))
 
-def edge_vector(model):
-    """(probabilities in edge_table column order, keys that are no edge);
-    such keys are validation violations and are otherwise ignored."""
-    keys = list(model.probs)
-    cols = edge_columns(model.shape, keys)
-    probs = np.fromiter(model.probs.values(), dtype=float, count=len(keys))
-    vec = np.zeros(len(edge_table(model.shape).src))
-    vec[cols[cols >= 0]] = probs[cols >= 0]
-    return vec, [key for key, c in zip(keys, cols.tolist()) if c < 0]
+    @cached_property
+    def edge_prob(self):
+        """The probabilities in edge_table column order; keys that are no
+        edge are left out."""
+        on = self._columns >= 0
+        vec = np.zeros(len(edge_table(self.shape).src))
+        vec[self._columns[on]] = np.fromiter(
+            self.probs.values(), float, len(self.probs))[on]
+        vec.flags.writeable = False
+        return vec
 
+    @cached_property
+    def illegal(self):
+        """The keys that are no edge, in insertion order; such keys are
+        validation violations and are otherwise ignored."""
+        return tuple(key for key, c in zip(self.probs, self._columns.tolist())
+                     if c < 0)
 
-def self_vector(model):
-    """Self-transition mass of every state, in lattice order."""
-    return np.array([model.self_of(u) for u in grid_states(model.shape)])
+    @cached_property
+    def self_mass(self):
+        """Self-transition mass of every state, in lattice order."""
+        mass = np.array([self.self_of(u) for u in grid_states(self.shape)])
+        mass.flags.writeable = False
+        return mass
 
 
 def validate(model):
@@ -74,7 +98,7 @@ def validate(model):
     """
     shape = model.shape
     report = []
-    illegal = set(edge_vector(model)[1])
+    illegal = set(model.illegal)
     for (u, v), p in model.probs.items():
         if (u, v) in illegal:
             report.append(
@@ -84,7 +108,7 @@ def validate(model):
             report.append(
                 "probability %r on edge %s->%s outside (0, 1]" % (p, u, v)
             )
-    if isinstance(model.self_prob, dict):
+    if isinstance(model.self_prob, Mapping):
         for u, d in model.self_prob.items():
             if not in_grid(shape, u):
                 report.append("self-transition at off-grid state %s" % (u,))
@@ -110,9 +134,9 @@ def validate(model):
 
 def row_mass(model):
     """Per-state outgoing mass: sum of edge probabilities plus self mass."""
-    vec, _ = edge_vector(model)
     src, n = edge_table(model.shape).src, model.shape.n_states
-    return np.bincount(src, weights=vec, minlength=n) + self_vector(model)
+    return (np.bincount(src, weights=model.edge_prob, minlength=n)
+            + model.self_mass)
 
 
 def directional_matrix(model, i):
@@ -124,21 +148,14 @@ def directional_matrix(model, i):
     if not 1 <= i <= shape.q:
         raise DomainError("direction %d outside 1..%d" % (i, shape.q))
     t = edge_table(shape)
-    vec, _ = edge_vector(model)
     out = np.zeros((shape.n_states, shape.n_states))
-    out[t.src, t.dst] = np.where(t.direction == i, vec, 0.0)
+    out[t.src, t.dst] = np.where(t.direction == i, model.edge_prob, 0.0)
     return out
-
-
-def self_matrix(model):
-    """Diagonal matrix D of self-transition probabilities."""
-    return np.diag(self_vector(model))
 
 
 def full_matrix(model):
     """P = sum over directions of P_i, plus D."""
     t = edge_table(model.shape)
-    vec, _ = edge_vector(model)
-    out = self_matrix(model)
-    out[t.src, t.dst] = vec
+    out = np.diag(model.self_mass)
+    out[t.src, t.dst] = model.edge_prob
     return out

@@ -27,14 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    PositivityError,
-    UnsupportedConfigError,
-)
-from .lattice import edge_columns, edge_pairs, edge_table, grid_states
-from .model import TransitionModel, edge_vector
+from .errors import ConsistencyError, DomainError, PositivityError
+from .lattice import (edge_columns, edge_pairs, edge_table, grid_states,
+                      require_equal_bounds)
+from .model import TransitionModel
 
 # relative tolerance for the agreement of a class's edges: beta is a
 # product of at most sum(n_i) O(1) factors, which keeps relative error near
@@ -113,11 +109,7 @@ class Parametrization:
 
 def param_counts(shape):
     """(edge class count, vertex count) for l1 = l2 = l."""
-    if shape.l1 != shape.l2:
-        raise UnsupportedConfigError(
-            "parameter counts assume equal jump bounds (l1=%d, l2=%d)"
-            % (shape.l1, shape.l2)
-        )
+    require_equal_bounds(shape, "parameter counting")
     return len(edge_table(shape).classes), shape.n_states
 
 
@@ -146,13 +138,9 @@ def recover_params(model):
     beta path-independent, plus translation invariance of every class.
     """
     shape = model.shape
-    if shape.l1 != shape.l2:
-        raise UnsupportedConfigError(
-            "recovery assumes equal jump bounds (l1=%d, l2=%d)"
-            % (shape.l1, shape.l2)
-        )
+    require_equal_bounds(shape, "recovery")
     t = edge_table(shape)
-    prob, _ = edge_vector(model)
+    prob = model.edge_prob
     bad = np.flatnonzero(prob <= 0.0)
     if bad.size:
         raise PositivityError(
@@ -198,7 +186,7 @@ def detailed_balance_check(model, beta, tol=1e-10):
             )
     t = edge_table(model.shape)
     b = np.array([beta[u] for u in grid_states(model.shape)])
-    prob, _ = edge_vector(model)
+    prob = model.edge_prob
     up = np.flatnonzero(t.step > 0)
     back = np.where(t.reverse[up] >= 0, prob[t.reverse[up]], 0.0)
     violation = np.abs(b[t.src[up]] * prob[up] - b[t.dst[up]] * back)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DomainError
 from .lattice import edge_table, grid_states
-from .model import ROW_SUM_TOL, edge_vector, row_mass, self_vector
+from .model import ROW_SUM_TOL, row_mass
+from .spectral import _check_power
 
 CHUNK = 4096  # trajectories stepped together
 
@@ -91,15 +92,14 @@ def cdf_table(model):
     """
     t = edge_table(model.shape)
     n = model.shape.n_states
-    prob, _ = edge_vector(model)
     order = np.lexsort((t.dst, t.src))
     src = t.src[order]
     deg = np.bincount(src, minlength=n)
     slot = np.arange(len(src)) - (np.cumsum(deg) - deg)[src]
     width = int(deg.max()) + 2
     mass = np.zeros((n + 1, width))
-    mass[src, slot] = prob[order]
-    mass[np.arange(n), deg] = self_vector(model)
+    mass[src, slot] = model.edge_prob[order]
+    mass[np.arange(n), deg] = model.self_mass
     bounds = np.cumsum(mass, axis=1)
     pad = np.arange(width) > np.append(deg, -1)[:, None]
     bounds[pad] = np.inf
@@ -130,8 +130,7 @@ def empirical_kstep(model, u0, k, trials, seed):
     trials = _require_integer(trials, "trials")
     if trials < 1:
         raise DomainError("trials must be positive, got %r" % (trials,))
-    if int(k) != k or k < 0:
-        raise DomainError("step count must be a non-negative integer, got %r" % (k,))
+    k = _check_power(k)
     seed = _require_integer(seed, "seed")
     _require_samplable(model)
     states = grid_states(model.shape)
@@ -140,7 +139,7 @@ def empirical_kstep(model, u0, k, trials, seed):
     except ValueError:
         raise DomainError("state %s is not on the grid" % (u0,))
     bounds, targets = cdf_table(model)
-    n, k = len(states), int(k)
+    n = len(states)
     counts = np.zeros(n + 1, dtype=np.int64)
     for first in range(0, trials, CHUNK):
         m = min(CHUNK, trials - first)

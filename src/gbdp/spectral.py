@@ -21,13 +21,14 @@ When l1 != l2 the blocks are not symmetric and this route is refused;
 matrix_power remains available as the general fallback.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
-from .lattice import grid_states
+from .lattice import grid_states, require_equal_bounds
 from .param import edge_classes
 
 # residual bound for eigendecomposition contracts (reconstruction,
@@ -45,11 +46,7 @@ class BlockDecomposition:
 def block_decompose(p):
     """Blocks and conjugating diagonal for a parametrization with l1 = l2."""
     shape = p.shape
-    if shape.l1 != shape.l2:
-        raise UnsupportedConfigError(
-            "block decomposition needs equal jump bounds (l1=%d, l2=%d): "
-            "the blocks would not be symmetric" % (shape.l1, shape.l2)
-        )
+    require_equal_bounds(shape, "the symmetric block decomposition")
     blocks = [np.zeros((n + 1, n + 1)) for n in shape.dims]
     for c in edge_classes(shape):
         u, r, x = blocks[c.direction - 1], c.offset, c.step
@@ -119,7 +116,7 @@ def k_step_with_self(p, alpha_self, k):
     Only a scalar self mass is supported: a non-scalar diagonal does not
     commute with the directional matrices, so no closed form exists.
     """
-    if isinstance(alpha_self, dict):
+    if isinstance(alpha_self, Mapping):
         raise UnsupportedConfigError(
             "per-state self-transition table does not commute with the "
             "directional matrices; use matrix_power on the full matrix"

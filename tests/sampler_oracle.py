@@ -5,7 +5,6 @@ but written straight from the module docstring of gbdp.simulate."""
 import numpy as np
 
 from gbdp.lattice import edge_table, grid_states
-from gbdp.model import edge_vector, self_vector
 
 
 def transition_table(model):
@@ -13,11 +12,10 @@ def transition_table(model):
     bounds) over the grid's edges."""
     t = edge_table(model.shape)
     states = grid_states(model.shape)
-    prob, _ = edge_vector(model)
     order = np.lexsort((t.dst, t.src))
     ends = np.searchsorted(t.src[order], range(len(states) + 1)).tolist()
     targets = [states[v] for v in t.dst[order].tolist()]
-    probs, stay = prob[order].tolist(), self_vector(model).tolist()
+    probs, stay = model.edge_prob[order].tolist(), model.self_mass.tolist()
     return {
         u: (targets[a:b] + [u], np.cumsum(probs[a:b] + [stay[k]]))
         for k, (u, a, b) in enumerate(zip(states, ends, ends[1:]))

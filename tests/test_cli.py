@@ -1,6 +1,7 @@
 """End-to-end command-line checks, mostly in-process."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -41,9 +42,10 @@ def good_model(tmp_path, stoch_params):
 def bad_model(tmp_path, stoch_params):
     p, _ = stoch_params
     model = build_model(p)
-    model.probs[((0, 0), (1, 0))] *= 0.5
+    probs = dict(model.probs)
+    probs[((0, 0), (1, 0))] *= 0.5
     path = tmp_path / "bad_model.json"
-    save_model(model, path)
+    save_model(TransitionModel(model.shape, probs), path)
     return str(path)
 
 
@@ -96,6 +98,15 @@ def test_check_commute_is_vacuous_in_one_dimension(tmp_path, capsys):
     save_model(model, path)
     assert main(["check-commute", "--model", str(path)]) == 0
     assert "vacuous" in capsys.readouterr().out
+
+
+def test_a_shape_beyond_the_edge_table_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "edges": [],
+        "shape": {"q": 2, "dims": [2 ** 31, 2 ** 31], "l1": 1, "l2": 1}}))
+    assert main(["check-commute", "--model", str(path)]) == 2
+    assert "edge table" in capsys.readouterr().err
 
 
 def test_missing_file_is_an_input_error(tmp_path, capsys):

@@ -156,6 +156,16 @@ def test_the_first_faulty_edge_entry_is_reported(tmp_path, entries, message):
         load_model(_write(tmp_path, doc))
 
 
+def test_shapes_beyond_the_edge_table_are_format_errors(tmp_path):
+    shape = {"q": 2, "dims": [2 ** 31, 2 ** 31], "l1": 1, "l2": 1}
+    model = {"format_version": 1, "shape": shape, "edges": []}
+    params = {"format_version": 1, "shape": shape, "alpha": {}, "gamma": {}}
+    with pytest.raises(FormatError, match="edge table"):
+        load_model(_write(tmp_path, model))
+    with pytest.raises(FormatError, match="edge table"):
+        load_params(_write(tmp_path, params))
+
+
 def test_malformed_json_is_reported(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("{not json")

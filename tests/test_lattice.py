@@ -68,6 +68,7 @@ def test_index_of_off_grid_state_is_a_domain_error():
     ((3, 2, 4), 2, 3, "max\\(l1, l2\\) <= min\\(dims\\)"),
     ((2 ** 32, 2 ** 31), 1, 1, "prod\\(n_i \\+ 1\\) < 2\\^63"),
     ((1, 10 ** 400), 1, 1, "prod\\(n_i \\+ 1\\) < 2\\^63"),
+    ((2 ** 31, 2 ** 31), 1, 1, "edge table's move lookup"),
 ])
 def test_shape_violations_name_the_invariant(dims, l1, l2, bad):
     with pytest.raises(ShapeError, match=bad):

@@ -1,18 +1,24 @@
 """Transition storage, validation, and matrix assembly."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+import gbdp.model
 from gbdp import (
     GridShape,
     TransitionModel,
+    commutes_direct,
+    constraint_residuals,
     directional_matrix,
     full_matrix,
+    recover_params,
     row_mass,
-    self_matrix,
     validate,
 )
 from gbdp.errors import DomainError
+from gbdp.simulate import cdf_table
 from conftest import EXP_SHAPE, make_commuting_model
 
 
@@ -54,7 +60,7 @@ def test_directional_matrices_split_the_probabilities(rng):
 def test_full_matrix_is_directional_sum_plus_self(rng):
     model = make_commuting_model(EXP_SHAPE, rng, self_prob=0.25)
     total = directional_matrix(model, 1) + directional_matrix(model, 2)
-    total += self_matrix(model)
+    total += np.diag(model.self_mass)
     assert np.abs(full_matrix(model) - total).max() == 0.0
 
 
@@ -69,7 +75,7 @@ def test_per_state_self_table():
         shape, {}, self_prob={(0,): 0.2, (1,): 0.9}, absorbing=True
     )
     assert model.self_of((0,)) == 0.2
-    assert self_matrix(model).tolist() == [[0.2, 0.0], [0.0, 0.9]]
+    assert full_matrix(model).tolist() == [[0.2, 0.0], [0.0, 0.9]]
 
 
 def test_boundary_zeros(rng):
@@ -150,3 +156,48 @@ def test_malformed_keys_are_reported_and_otherwise_ignored(key):
     assert (full_matrix(bad) == full_matrix(good)).all()
     for i in (1, 2):
         assert (directional_matrix(bad, i) == directional_matrix(good, i)).all()
+
+
+def test_a_model_is_read_only():
+    probs, table = {((0,), (1,)): 0.5}, {(0,): 0.2}
+    model = TransitionModel(GridShape((1,), 1, 1), probs, self_prob=table)
+    probs[((0,), (1,))], table[(0,)] = 0.9, 0.9  # the model keeps copies
+    with pytest.raises(TypeError):
+        model.probs[((0,), (1,))] = 0.9
+    with pytest.raises(TypeError):
+        model.self_prob[(1,)] = 0.1
+    for field in ("shape", "probs", "absorbing", "edge_prob"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, field, None)
+    for resolved in (model.edge_prob, model.self_mass):
+        with pytest.raises(ValueError, match="read-only"):
+            resolved[0] = 0.9
+    assert model.p((0,), (1,)) == 0.5 and model.self_of((0,)) == 0.2
+    assert model.edge_prob.tolist() == [0.5, 0.0]
+    assert model.self_mass.tolist() == [0.2, 0.0]
+
+
+def test_keys_are_resolved_once_per_model(monkeypatch):
+    calls = []
+    resolve = gbdp.model.edge_columns
+
+    def counted(shape, pairs):
+        calls.append(shape)
+        return resolve(shape, pairs)
+
+    monkeypatch.setattr(gbdp.model, "edge_columns", counted)
+    shape = GridShape((2, 1, 2), 1, 1)
+    models = [make_commuting_model(shape, np.random.default_rng(seed),
+                                   self_prob=0.1) for seed in (1, 2)]
+    for model in models:
+        validate(model)
+        row_mass(model)
+        full_matrix(model)
+        for i in range(1, shape.q + 1):
+            directional_matrix(model, i)
+            for j in range(i + 1, shape.q + 1):
+                constraint_residuals(model, i, j)
+                commutes_direct(model, i, j)
+        recover_params(model)
+        cdf_table(model)
+    assert calls == [shape] * len(models)
