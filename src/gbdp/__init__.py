@@ -24,7 +24,6 @@ from .commute import (
     commutes_direct,
     constraint_residuals,
     pair_constraints,
-    rank1_minor_report,
 )
 from .errors import (
     ConsistencyError,
@@ -42,7 +41,6 @@ from .lattice import (
     Edge,
     Grid,
     GridShape,
-    adjacency_and_laplacian,
     build_grid,
     directed_edges,
     edge_between,
@@ -61,7 +59,6 @@ from .param import (
     detailed_balance_check,
     edge_class_of,
     edge_classes,
-    param_counts,
     recover_params,
 )
 from .simulate import empirical_kstep

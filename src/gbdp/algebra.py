@@ -140,50 +140,24 @@ def rank_formula_R(shape):
 
 def rank_formula_Q(shape):
     """Closed form: 2*sum_i sum_x (n_i - x + 1) prod_{j != i}(n_j + 1)
-    - l*sum(n_i) - prod(n_i + 1) + q*l*(l-1)/2 + 1."""
-    require_equal_bounds(shape, "rank formula")
-    l = shape.l1
-    total = 0
-    for i in range(shape.q):
-        perp = 1
-        for j in range(shape.q):
-            if j != i:
-                perp *= shape.dims[j] + 1
-        total += sum(shape.dims[i] - x + 1 for x in range(1, l + 1)) * perp
-    return (
-        2 * total
-        - l * sum(shape.dims)
-        - shape.n_states
-        + shape.q * l * (l - 1) // 2
-        + 1
-    )
+    - l*sum(n_i) - prod(n_i + 1) + q*l*(l-1)/2 + 1, that is Q's column
+    count minus rank_formula_R."""
+    return order_formula_Q(shape)[1] - rank_formula_R(shape)
 
 
 def order_formula_Q(shape):
-    """(row count, column count) of Q from the closed-form order expressions."""
+    """(row count, column count) of Q from the closed-form order expressions.
+
+    Axis i has jumps_i = sum_x (n_i - x + 1) edge pairs along each line, and
+    prod_{k != i}(n_k + 1) such lines; a direction pair (i, j) has four
+    sign families per pair of jumps in each (i, j) plane.
+    """
     require_equal_bounds(shape, "order formula")
-    l = shape.l1
-    rows = 0
-    for i in range(shape.q):
-        for j in range(i + 1, shape.q):
-            perp = 1
-            for k in range(shape.q):
-                if k != i and k != j:
-                    perp *= shape.dims[k] + 1
-            rows += 4 * perp * sum(
-                (shape.dims[i] - x + 1) * (shape.dims[j] - y + 1)
-                for x in range(1, l + 1)
-                for y in range(1, l + 1)
-            )
-    cols = 0
-    for i in range(shape.q):
-        perp = 1
-        for j in range(shape.q):
-            if j != i:
-                perp *= shape.dims[j] + 1
-        cols += 2 * perp * sum(
-            shape.dims[i] - x + 1 for x in range(1, l + 1)
-        )
+    dims, n = shape.dims, shape.n_states
+    jumps = [sum(d - x + 1 for x in range(1, shape.l1 + 1)) for d in dims]
+    rows = sum(4 * n // ((dims[i] + 1) * (dims[j] + 1)) * jumps[i] * jumps[j]
+               for i in range(shape.q) for j in range(i + 1, shape.q))
+    cols = sum(2 * n // (d + 1) * x for d, x in zip(dims, jumps))
     return rows, cols
 
 

@@ -19,15 +19,17 @@ on the grid; an entry (s, t) of the commutator difference is identically
 zero unless both opposite corners s and t are on the grid, and on an
 axis-aligned box that forces all four corners in, so the in-grid rule loses
 nothing.  Constraints whose probabilities happen to all be zero are still
-generated (their residual is exactly 0).
+generated (their residual is exactly 0).  On a 2-D grid with positive
+probabilities, the four identities of a rectangle say that the jumps out of
+its two diagonals are proportional (a rank-1 2x4 matrix).
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedConfigError
-from .lattice import edge_table, grid_states, shifted
+from .errors import DomainError
+from .lattice import edge_table, grid_states, move_slot, shifted
 from .model import directional_matrix
 
 # probabilities are O(1) so products are O(1); absolute tolerance
@@ -70,7 +72,8 @@ def constraint_columns(shape, i, j):
     lmax = max(shape.l1, shape.l2)
     # lookup slots of (step_i, step_j): by family (signs), then by sizes
     si, sj, xi, xj = np.indices((2, 2, lmax, lmax)).reshape(4, -1)
-    slot_i, slot_j = si * lmax + xi, sj * lmax + xj
+    slot_i = move_slot((1 - 2 * si) * (xi + 1), lmax)
+    slot_j = move_slot((1 - 2 * sj) * (xj + 1), lmax)
     first_i, first_j = t.column[:, i - 1, slot_i], t.column[:, j - 1, slot_j]
     base, k = np.nonzero((first_i >= 0) & (first_j >= 0))
     left1, right1 = first_i[base, k], first_j[base, k]
@@ -114,52 +117,3 @@ def commutes_direct(model, i, j, tol=DEFAULT_TOL):
     pj = directional_matrix(model, j)
     residual = float(np.abs(pi @ pj - pj @ pi).max())
     return residual <= tol, residual
-
-
-class MinorGroup(NamedTuple):
-    """A 2x4 probability matrix over one grid rectangle and its 2x2 minors.
-
-    For the rectangle with corners s=(i,j), B=(i+a,j), C=(i,j+b), t=(i+a,j+b):
-    row 0 holds the out-edges of the diagonal {s, t}, row 1 those of {B, C},
-    columns aligned so that matching columns are jumps of the same direction
-    and size: [s->B, t->B, t->C, s->C] over [C->t, C->s, B->s, B->t].
-    All six minors vanish iff the four commutation identities on this
-    rectangle hold (for positive entries: iff the rows are proportional).
-    """
-
-    base: tuple
-    steps: tuple
-    matrix: object  # 2x4 array
-    minors: dict  # (col, col) -> 2x2 minor value
-
-
-def rank1_minor_report(model):
-    """Rectangle-by-rectangle rank-1 check for 2-D models."""
-    shape = model.shape
-    if shape.q != 2:
-        raise UnsupportedConfigError(
-            "rank-1 minor report is defined for 2-D grids only (q=%d)" % shape.q
-        )
-    n1, n2 = shape.dims
-    lmax = min(shape.l1, shape.l2)
-    out = []
-    for a in range(1, lmax + 1):
-        for b in range(1, lmax + 1):
-            for i in range(0, n1 - a + 1):
-                for j in range(0, n2 - b + 1):
-                    s, t = (i, j), (i + a, j + b)
-                    bb, cc = (i + a, j), (i, j + b)
-                    m = np.array([
-                        [model.p(s, bb), model.p(t, bb),
-                         model.p(t, cc), model.p(s, cc)],
-                        [model.p(cc, t), model.p(cc, s),
-                         model.p(bb, s), model.p(bb, t)],
-                    ])
-                    minors = {}
-                    for c in range(4):
-                        for d in range(c + 1, 4):
-                            minors[(c, d)] = float(
-                                m[0, c] * m[1, d] - m[0, d] * m[1, c]
-                            )
-                    out.append(MinorGroup((i, j), (a, b), m, minors))
-    return out

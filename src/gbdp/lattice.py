@@ -107,6 +107,12 @@ def in_grid(shape, u):
     )
 
 
+def move_slot(step, lmax):
+    """The slot of a move by signed `step` in edge_table's column lookup:
+    forward steps 1..lmax first, then backward steps 1..lmax."""
+    return np.where(step > 0, step - 1, lmax - step - 1)
+
+
 EdgeTable = namedtuple(
     "EdgeTable", "coords src dst direction step cls reverse classes column")
 
@@ -119,9 +125,9 @@ def edge_table(shape):
     directed_edges order, moves src[k] to dst[k] along direction[k] by
     step[k]; cls[k] is its row in classes, the (direction, offset, size)
     list of edge_classes; reverse[k] is the column of dst[k] -> src[k], or
-    -1.  With L = max(l1, l2), column[s, i - 1, j] is the column of the move
-    from s along direction i by step j + 1 if j < L, by step L - j - 1 if
-    j >= L, or -1 where that move is no edge.
+    -1.  column[s, i - 1, move_slot(x, max(l1, l2))] is the column of the
+    move from s along direction i by step x, or -1 where that move is no
+    edge.
     """
     dims = np.array(shape.dims)
     lmax = max(shape.l1, shape.l2)
@@ -140,7 +146,7 @@ def edge_table(shape):
     class_id = np.zeros((shape.q + 1, dims.max(), lmax + 1), dtype=int)
     class_id[tuple(classes.T)] = np.arange(len(classes))
     offset = np.minimum(coords[src, axis], to[src, axis, slot])
-    reverse = column[dst, axis, np.where(step > 0, lmax + step - 1, -step - 1)]
+    reverse = column[dst, axis, move_slot(-step, lmax)]
     table = EdgeTable(coords, src, dst, axis + 1, step,
                       class_id[axis + 1, offset, np.abs(step)], reverse,
                       classes, column)
@@ -178,8 +184,7 @@ def edge_columns(shape, pairs):
     step = d[np.arange(len(d)), axis]
     lmax = max(shape.l1, shape.l2)
     move = ((d != 0).sum(axis=1) == 1) & (np.abs(step) <= lmax)
-    # the slot of a move along `axis` by `step` in t.column
-    slot = np.where(step > 0, step - 1, lmax - step - 1)
+    slot = move_slot(step, lmax)
     src = np.ravel_multi_index(u.T, np.add(shape.dims, 1))
     out = np.full(len(pairs), -1)
     out[np.flatnonzero(fit)[on]] = np.where(
@@ -252,11 +257,3 @@ def directed_edges(shape):
     t = edge_table(shape)
     return [Edge(u, v, i, x) for (u, v), i, x in zip(
         edge_pairs(shape), t.direction.tolist(), t.step.tolist())]
-
-
-def adjacency_and_laplacian(shape):
-    """0/1 adjacency matrix and Laplacian L = Deg - A of the grid graph."""
-    t = edge_table(shape)
-    adj = np.zeros((shape.n_states, shape.n_states), dtype=np.int64)
-    adj[t.src, t.dst] = 1
-    return adj, np.diag(adj.sum(axis=1)) - adj

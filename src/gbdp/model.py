@@ -91,6 +91,14 @@ class TransitionModel:
         return mass
 
 
+def check_self_mass(alpha_self):
+    """alpha_self as a float; DomainError unless it lies in [0, 1)."""
+    a = float(alpha_self)
+    if not 0.0 <= a < 1.0:
+        raise DomainError("self mass %r outside [0, 1)" % alpha_self)
+    return a
+
+
 def validate(model):
     """List of human-readable invariant violations; empty iff the model is valid.
 

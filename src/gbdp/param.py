@@ -29,13 +29,17 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, PositivityError
 from .lattice import (edge_columns, edge_pairs, edge_table, grid_states,
-                      require_equal_bounds)
+                      move_slot, require_equal_bounds)
 from .model import TransitionModel
 
 # relative tolerance for the agreement of a class's edges: beta is a
 # product of at most sum(n_i) O(1) factors, which keeps relative error near
 # machine precision
 CONSISTENCY_RTOL = 1e-9
+# absolute bound on |beta_u p(u,v) - beta_v p(v,u)|: probabilities are at
+# most 1 and a recovered measure is gauged to 1 at the origin, so on the
+# grids checked each product is O(1) and carries an error of a few ulps
+BALANCE_TOL = 1e-10
 
 
 class EdgeClass(NamedTuple):
@@ -107,12 +111,6 @@ class Parametrization:
                 )
 
 
-def param_counts(shape):
-    """(edge class count, vertex count) for l1 = l2 = l."""
-    require_equal_bounds(shape, "parameter counting")
-    return len(edge_table(shape).classes), shape.n_states
-
-
 def build_model(p, self_prob=None, absorbing=False):
     """The model with p(u, v) = alpha_u * gamma(class) / alpha_v per edge.
 
@@ -148,7 +146,7 @@ def recover_params(model):
             "has %r" % (*edge_pairs(shape)[bad[0]], prob[bad[0]])
         )
 
-    back = t.column[:, :, shape.l1]  # the unit backward moves
+    back = t.column[:, :, move_slot(-1, shape.l1)]  # unit backward moves
     ratio = np.where(back >= 0, prob[t.reverse[back]] / prob[back], 1.0)
     ratio = ratio.reshape(tuple(n + 1 for n in shape.dims) + (shape.q,))
     beta = np.ones(())
@@ -173,8 +171,9 @@ def recover_params(model):
                            dict(zip(edge_classes(shape), val[first].tolist())))
 
 
-def detailed_balance_check(model, beta, tol=1e-10):
-    """(bool, worst) for |beta_u p(u,v) - beta_v p(v,u)| <= tol on all edges.
+def detailed_balance_check(model, beta):
+    """(bool, worst) for |beta_u p(u,v) - beta_v p(v,u)| <= BALANCE_TOL on
+    all edges.
 
     worst is (u, v, violation) for the largest violation.
     """
@@ -192,4 +191,4 @@ def detailed_balance_check(model, beta, tol=1e-10):
     violation = np.abs(b[t.src[up]] * prob[up] - b[t.dst[up]] * back)
     k = int(np.argmax(violation))
     worst = edge_pairs(model.shape)[up[k]] + (float(violation[k]),)
-    return worst[2] <= tol, worst
+    return worst[2] <= BALANCE_TOL, worst

@@ -18,7 +18,7 @@ with (lam(i), w(i)) the eigensystem of U(i).  A scalar self-transition mass
 a commutes with everything and simply shifts each eigenvalue sum by a.
 
 When l1 != l2 the blocks are not symmetric and this route is refused;
-matrix_power remains available as the general fallback.
+matrix_power on the full matrix is then the only route.
 """
 
 from collections.abc import Mapping
@@ -29,11 +29,16 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
 from .lattice import grid_states, require_equal_bounds
+from .model import check_self_mass
 from .param import edge_classes
 
 # residual bound for eigendecomposition contracts (reconstruction,
 # orthonormality, symmetry of the input)
 EIGEN_TOL = 1e-10
+# eigenvector components below this count as zero when fixing the sign:
+# block eigenvectors often have components that are exactly zero (by the
+# block's symmetry) but come out of eigh as rounding noise of either sign
+SIGN_LEAD_TOL = 1e-8
 
 
 @dataclass
@@ -75,7 +80,7 @@ class EigenSystem:
     vectors: object  # orthonormal eigenvectors as columns, vectors[:, r]
 
 
-def symmetric_eigen(u, tol=EIGEN_TOL):
+def symmetric_eigen(u):
     """Eigensystem of a symmetric matrix.
 
     Eigenvalues ascending; each eigenvector's sign is fixed by making its
@@ -84,16 +89,16 @@ def symmetric_eigen(u, tol=EIGEN_TOL):
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError("expected a square matrix, got shape %s" % (u.shape,))
-    if u.size and float(np.abs(u - u.T).max()) > tol:
+    if u.size and float(np.abs(u - u.T).max()) > EIGEN_TOL:
         raise DomainError(
             "matrix is not symmetric within %g (max asymmetry %g)"
-            % (tol, float(np.abs(u - u.T).max()))
+            % (EIGEN_TOL, float(np.abs(u - u.T).max()))
         )
     values, vectors = np.linalg.eigh((u + u.T) / 2.0)
     vectors = vectors.copy()
     for r in range(vectors.shape[1]):
         col = vectors[:, r]
-        lead = np.flatnonzero(np.abs(col) > 1e-8)
+        lead = np.flatnonzero(np.abs(col) > SIGN_LEAD_TOL)
         if lead.size and col[lead[0]] < 0:
             vectors[:, r] = -col
     return EigenSystem(values, vectors)
@@ -121,9 +126,7 @@ def k_step_with_self(p, alpha_self, k):
             "per-state self-transition table does not commute with the "
             "directional matrices; use matrix_power on the full matrix"
         )
-    a = float(alpha_self)
-    if not 0.0 <= a < 1.0:
-        raise DomainError("self mass %r outside [0, 1)" % alpha_self)
+    a = check_self_mass(alpha_self)
     k = _check_power(k)
     decomp, systems = axis_eigensystems(p)
     b = b_vector(decomp)

@@ -21,12 +21,17 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, StructureError
 from .lattice import grid_states
+from .model import ROW_SUM_TOL, check_self_mass
 from .param import Parametrization
 from .spectral import axis_eigensystems
 
 # successive-iterate threshold and iteration cap of the oracle's power method
 VECTOR_TOL = 1e-13
 ITERATION_CAP_PER_SIZE = 100
+# bound on the converged eigenpair residual relative to norm(M, inf): an
+# iterate that moved at most VECTOR_TOL leaves a residual near 1.5 times
+# VECTOR_TOL (the shift is half the norm); the rest is margin for rounding
+PERRON_RESIDUAL_TOL = 1e-10
 
 
 def _strongly_connected(m):
@@ -48,7 +53,7 @@ def _strongly_connected(m):
     return True
 
 
-def perron(m, tol=1e-10, v0=None):
+def perron(m, v0=None):
     """Perron root and unit-sum positive eigenvector of an irreducible
     non-negative matrix; the dense oracle for normalize_stochastic.
 
@@ -93,10 +98,10 @@ def perron(m, tol=1e-10, v0=None):
         )
     rho = float((m @ v).sum())
     residual = float(np.abs(m @ v - rho * v).max())
-    if residual > tol * norm:
+    if residual > PERRON_RESIDUAL_TOL * norm:
         raise ConvergenceError(
             "eigenpair residual %g exceeds %g after convergence"
-            % (residual, tol * norm)
+            % (residual, PERRON_RESIDUAL_TOL * norm)
         )
     return rho, v
 
@@ -107,9 +112,7 @@ def normalize_stochastic(p, alpha_self=0.0):
     The result's model has every row sum equal to 1 - alpha_self; adding the
     scalar self mass makes it exactly stochastic.
     """
-    a = float(alpha_self)
-    if not 0.0 <= a < 1.0:
-        raise DomainError("self mass %r outside [0, 1)" % alpha_self)
+    a = check_self_mass(alpha_self)
     decomp, systems = axis_eigensystems(p)
     if not all(_strongly_connected(u) for u in decomp.blocks):
         raise StructureError(
@@ -123,7 +126,7 @@ def normalize_stochastic(p, alpha_self=0.0):
     return Parametrization(p.shape, alpha, gamma)
 
 
-def is_stochastic(p_matrix, tol=1e-12):
+def is_stochastic(p_matrix, tol=ROW_SUM_TOL):
     """True iff every row sum lies in [1 - tol, 1 + tol]."""
     m = np.asarray(p_matrix, dtype=float)
     if m.size and float(m.min()) < 0.0:

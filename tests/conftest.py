@@ -1,10 +1,11 @@
-"""Shared helpers: seeded generators, random model factories and the
-line-cycle law of the constraint rank."""
+"""Shared helpers: seeded generators, random model factories, the grid
+graph and the line-cycle law of the constraint rank."""
 
 import numpy as np
 import pytest
 
 from gbdp import GridShape, Parametrization, build_grid, build_model, edge_classes
+from gbdp.lattice import edge_table
 
 # the worked 3x3-states-per-direction grid with jumps up to 2
 EXP_SHAPE = GridShape((2, 2), 2, 2)
@@ -24,6 +25,20 @@ def make_parametrization(shape, rng, low=0.5, high=2.0):
 
 def make_commuting_model(shape, rng, **kwargs):
     return build_model(make_parametrization(shape, rng), **kwargs)
+
+
+def grid_adjacency(shape):
+    """0/1 adjacency matrix of the grid graph, from the edge table."""
+    t = edge_table(shape)
+    adj = np.zeros((shape.n_states, shape.n_states), dtype=np.int64)
+    adj[t.src, t.dst] = 1
+    return adj
+
+
+def grid_laplacian(shape):
+    """Laplacian Deg - A of the grid graph."""
+    adj = grid_adjacency(shape)
+    return np.diag(adj.sum(axis=1)) - adj
 
 
 def random_monotone_path(u, rng):

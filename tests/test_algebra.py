@@ -6,7 +6,6 @@ import pytest
 from gbdp import (
     GridShape,
     IntMatrix,
-    adjacency_and_laplacian,
     build_Q,
     build_R,
     integer_rank,
@@ -18,7 +17,8 @@ from gbdp import (
 from gbdp.commute import Constraint
 from gbdp.errors import UnsupportedConfigError
 from gbdp.param import EdgeClass
-from conftest import EXP_SHAPE, line_cycle_count, line_cycle_kernel
+from conftest import (EXP_SHAPE, grid_laplacian, line_cycle_count,
+                      line_cycle_kernel)
 
 SWEEP = [
     GridShape((3,), 1, 1),
@@ -84,7 +84,7 @@ def test_parameter_column_structure():
 def test_parameter_gram_matrix_blocks():
     r = build_R(EXP_SHAPE)
     gram = r.entries @ r.entries.T
-    _, lap = adjacency_and_laplacian(EXP_SHAPE)
+    lap = grid_laplacian(EXP_SHAPE)
     assert np.array_equal(gram[:9, :9], 2 * lap)
     assert np.array_equal(gram[9:, 9:], 6 * np.eye(6, dtype=np.int64))
     assert not gram[:9, 9:].any()
@@ -101,7 +101,7 @@ def test_integer_rank_basics():
 
 
 def test_integer_rank_of_the_grid_laplacian():
-    _, lap = adjacency_and_laplacian(EXP_SHAPE)
+    lap = grid_laplacian(EXP_SHAPE)
     assert integer_rank(lap) == 8
 
 

@@ -14,6 +14,8 @@ from gbdp import (
     GridShape,
     TransitionModel,
     build_model,
+    full_matrix,
+    matrix_power,
     normalize_stochastic,
     save_model,
     save_params,
@@ -138,39 +140,61 @@ def test_kstep_writes_the_same_bytes_to_out_and_to_stdout(stoch_params,
 
 
 def test_kstep_methods_agree(stoch_params, tmp_path):
-    _, path = stoch_params
-    a = tmp_path / "spectral.csv"
-    b = tmp_path / "power.csv"
-    for out, method in ((a, "spectral"), (b, "power")):
-        assert main(["kstep", "--params", path, "--k", "6",
-                     "--method", method, "--out", str(out)]) == 0
-    assert np.abs(read_matrix_csv(a) - read_matrix_csv(b)).max() <= 1e-10
+    # the CLI takes the spectral route; the dense power is its oracle
+    p, path = stoch_params
+    out = tmp_path / "k6.csv"
+    assert main(["kstep", "--params", path, "--k", "6",
+                 "--out", str(out)]) == 0
+    dense = matrix_power(full_matrix(build_model(p)), 6)
+    assert np.abs(read_matrix_csv(out) - dense).max() <= 1e-10
 
 
-def test_kstep_self_mass_agrees_between_methods(stoch_params, tmp_path, rng):
+def test_kstep_self_mass_agrees_between_methods(tmp_path, rng):
     p = normalize_stochastic(make_parametrization(EXP_SHAPE, rng), 0.3)
     path = tmp_path / "self_params.json"
     save_params(p, path)
-    a = tmp_path / "s.csv"
-    b = tmp_path / "p.csv"
-    for out, method in ((a, "spectral"), (b, "power")):
-        assert main(["kstep", "--params", str(path), "--k", "4",
-                     "--self", "0.3", "--method", method,
-                     "--out", str(out)]) == 0
-    spectral, power = read_matrix_csv(a), read_matrix_csv(b)
-    assert np.abs(spectral - power).max() <= 1e-10
+    out = tmp_path / "s.csv"
+    assert main(["kstep", "--params", str(path), "--k", "4",
+                 "--self", "0.3", "--out", str(out)]) == 0
+    spectral = read_matrix_csv(out)
+    dense = matrix_power(full_matrix(build_model(p, 0.3)), 4)
+    assert np.abs(spectral - dense).max() <= 1e-10
     assert np.abs(spectral.sum(axis=1) - 1.0).max() <= 1e-10
 
 
-def test_kstep_spectral_refuses_unequal_bounds(tmp_path, rng, capsys):
+@pytest.mark.parametrize("self_mass", [0.0, 0.3])
+def test_kstep_takes_the_dense_route_on_unequal_bounds(tmp_path, rng,
+                                                      self_mass):
     p = make_parametrization(GridShape((2, 2), 2, 1), rng)
     path = tmp_path / "skew.json"
     save_params(p, path)
-    assert main(["kstep", "--params", str(path), "--k", "2"]) == 2
-    assert "symmetric" in capsys.readouterr().err
+    out = tmp_path / "skew.csv"
     assert main(["kstep", "--params", str(path), "--k", "2",
-                 "--method", "power", "--out",
-                 str(tmp_path / "pw.csv")]) == 0
+                 "--self", str(self_mass), "--out", str(out)]) == 0
+    dense = matrix_power(full_matrix(build_model(p, self_mass or None)), 2)
+    assert np.array_equal(read_matrix_csv(out), dense)
+
+
+@pytest.mark.parametrize("self_mass", ["nan", "1.5", "-0.5"])
+@pytest.mark.parametrize("bounds", [(2, 2), (2, 1)])
+def test_kstep_rejects_a_bad_self_mass_on_both_routes(tmp_path, rng, capsys,
+                                                     self_mass, bounds):
+    p = make_parametrization(GridShape((2, 2), *bounds), rng)
+    path = tmp_path / "params.json"
+    save_params(p, path)
+    out = tmp_path / "k.csv"
+    assert main(["kstep", "--params", str(path), "--k", "2",
+                 "--self", self_mass, "--out", str(out)]) == 2
+    assert "outside [0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kstep_has_no_method_option(stoch_params, capsys):
+    _, path = stoch_params
+    with pytest.raises(SystemExit) as exc:
+        main(["kstep", "--params", path, "--k", "2", "--method", "power"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 def test_ranks_on_a_unit_jump_grid(capsys):

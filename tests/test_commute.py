@@ -1,4 +1,4 @@
-"""Dual-route commutation checks and the rank-1 minor report."""
+"""Dual-route commutation checks."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,9 @@ from gbdp import (
     commutes_direct,
     constraint_residuals,
     pair_constraints,
-    rank1_minor_report,
 )
 from gbdp.commute import Constraint, constraint_columns, constraint_edges
-from gbdp.errors import DomainError, UnsupportedConfigError
+from gbdp.errors import DomainError
 from gbdp.lattice import directed_edges, in_grid, shifted
 from conftest import EXP_SHAPE, make_commuting_model
 
@@ -158,48 +157,3 @@ def test_self_pair_and_out_of_range_pair_are_domain_errors():
         pair_constraints(EXP_SHAPE, 2, 2)
     with pytest.raises(DomainError, match="outside"):
         pair_constraints(EXP_SHAPE, 1, 3)
-
-
-def test_minor_report_lists_nine_rectangles_for_the_worked_shape(rng):
-    model = make_commuting_model(EXP_SHAPE, rng)
-    groups = rank1_minor_report(model)
-    assert len(groups) == 9
-    assert {(g.base, g.steps) for g in groups} == {
-        ((i, j), (a, b))
-        for a in (1, 2) for b in (1, 2)
-        for i in range(3 - a) for j in range(3 - b)
-    }
-
-
-def test_minors_vanish_for_parametrized_models(rng):
-    model = make_commuting_model(EXP_SHAPE, rng)
-    for g in rank1_minor_report(model):
-        assert max(abs(v) for v in g.minors.values()) <= 1e-14
-
-
-def test_identical_rows_have_exactly_zero_minors():
-    shape = GridShape((2, 2), 1, 1)
-    model = TransitionModel(
-        shape, {(e.u, e.v): 0.2 for e in directed_edges(shape)},
-        absorbing=True,
-    )
-    for g in rank1_minor_report(model):
-        assert (g.matrix[0] == g.matrix[1]).all()
-        assert all(v == 0.0 for v in g.minors.values())
-
-
-def test_minor_failure_detects_broken_rectangle(rng):
-    model = make_commuting_model(EXP_SHAPE, rng)
-    probs = dict(model.probs)
-    probs[((0, 0), (1, 0))] += 0.1
-    bad = TransitionModel(EXP_SHAPE, probs)
-    assert any(
-        max(abs(v) for v in g.minors.values()) > 1e-12
-        for g in rank1_minor_report(bad)
-    )
-
-
-def test_minor_report_requires_two_dimensions(rng):
-    model = make_commuting_model(GridShape((2, 2, 2), 2, 2), rng)
-    with pytest.raises(UnsupportedConfigError, match="2-D"):
-        rank1_minor_report(model)

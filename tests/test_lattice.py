@@ -1,4 +1,4 @@
-"""Grid enumeration, indexing, edge structure, adjacency and Laplacian."""
+"""Grid enumeration, indexing, edge structure and the grid graph."""
 
 from itertools import product
 
@@ -8,7 +8,6 @@ import pytest
 from gbdp import (
     GridShape,
     IntMatrix,
-    adjacency_and_laplacian,
     build_grid,
     directed_edges,
     edge_between,
@@ -18,6 +17,7 @@ from gbdp.errors import DomainError, ShapeError
 from gbdp.lattice import (
     edge_columns, edge_pairs, edge_table, in_grid, shifted)
 from gbdp.param import edge_class_of, edge_classes
+from conftest import grid_adjacency, grid_laplacian
 
 # q = 1, 2, 3, with and without l1 = l2
 TABLE_SWEEP = [((1,), 1, 1), ((3,), 2, 1), ((4,), 1, 3), ((2, 2), 2, 2),
@@ -135,7 +135,7 @@ def test_edge_count_formula_for_equal_bounds():
 def test_interior_state_degree_with_size_two_jumps_clipped():
     # from (1,1) on dims=(2,2): size-2 moves exit in every direction
     shape = GridShape((2, 2), 2, 2)
-    adj, _ = adjacency_and_laplacian(shape)
+    adj = grid_adjacency(shape)
     grid = build_grid(shape)
     k = grid.index_of((1, 1))
     assert adj[k].sum() == 4
@@ -144,12 +144,13 @@ def test_interior_state_degree_with_size_two_jumps_clipped():
 
 
 def test_path_graph_laplacian():
-    _, lap = adjacency_and_laplacian(GridShape((2,), 1, 1))
+    lap = grid_laplacian(GridShape((2,), 1, 1))
     assert lap.tolist() == [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
 
 
 def test_laplacian_rows_sum_to_zero_and_adjacency_is_symmetric():
-    adj, lap = adjacency_and_laplacian(GridShape((3, 2), 2, 2))
+    adj = grid_adjacency(GridShape((3, 2), 2, 2))
+    lap = grid_laplacian(GridShape((3, 2), 2, 2))
     assert (adj == adj.T).all()
     assert set(np.unique(adj)) <= {0, 1}
     assert (lap.sum(axis=1) == 0).all()
@@ -159,7 +160,7 @@ def test_laplacian_rows_sum_to_zero_and_adjacency_is_symmetric():
                                     ((2, 2, 2), 2), ((4,), 2)])
 def test_grid_graph_is_connected(dims, l):
     shape = GridShape(dims, l, l)
-    _, lap = adjacency_and_laplacian(shape)
+    lap = grid_laplacian(shape)
     n = lap.shape[0]
     labels = list(range(n))
     rank = integer_rank(IntMatrix(lap, labels, labels))
@@ -168,7 +169,7 @@ def test_grid_graph_is_connected(dims, l):
 
 def test_degree_sum_is_twice_the_undirected_edge_count():
     shape = GridShape((3, 2), 2, 2)
-    adj, _ = adjacency_and_laplacian(shape)
+    adj = grid_adjacency(shape)
     assert adj.sum() == len(directed_edges(shape))
 
 

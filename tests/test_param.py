@@ -12,7 +12,6 @@ from gbdp import (
     detailed_balance_check,
     edge_class_of,
     edge_classes,
-    param_counts,
     recover_params,
 )
 from gbdp.errors import (
@@ -60,12 +59,12 @@ def test_every_edge_maps_to_a_listed_class():
             assert edge_class_of(shape, e.u, e.v) in listed
 
 
-def test_param_counts():
-    assert param_counts(EXP_SHAPE) == (6, 9)
-    assert param_counts(GridShape((5,), 1, 1)) == (5, 6)
-    assert param_counts(GridShape((3, 4, 2), 2, 2)) == (15, 60)
-    with pytest.raises(UnsupportedConfigError, match="equal jump bounds"):
-        param_counts(GridShape((3, 3), 2, 1))
+def test_edge_class_count():
+    # (edge classes, vertices): one gamma per class and one alpha per state
+    for shape, counts in ((EXP_SHAPE, (6, 9)),
+                          (GridShape((5,), 1, 1), (5, 6)),
+                          (GridShape((3, 4, 2), 2, 2), (15, 60))):
+        assert (len(edge_classes(shape)), shape.n_states) == counts
 
 
 def test_constant_parameters_give_a_constant_commuting_model():
