@@ -56,8 +56,6 @@ from .param import (
     EdgeClass,
     Parametrization,
     build_model,
-    detailed_balance_check,
-    edge_class_of,
     edge_classes,
     recover_params,
 )

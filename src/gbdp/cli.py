@@ -2,14 +2,13 @@
 
 Subcommands: check-commute, kstep, ranks, normalize, simulate.  Exit codes
 are a stable contract: 0 = success / affirmative verdict, 1 = negative
-verdict, 2 = input or configuration error.  The default commutation
-tolerance (1e-12) can be overridden with the GBDP_TOL environment variable;
---tol beats both.  All tables are CSV, all numbers full double precision.
+verdict, 2 = input or configuration error.  The commutation tolerance
+defaults to 1e-12; --tol overrides it.  All tables are CSV, all numbers
+full double precision.
 """
 
 import argparse
 import math
-import os
 import sys
 
 from . import commute, fileio
@@ -28,15 +27,12 @@ from .stochastic import normalize_stochastic
 NORMALIZE_CHECK_TOL = 1e-10
 
 
-def default_tol():
-    env = os.environ.get("GBDP_TOL")
-    try:
-        tol = float(env) if env else commute.DEFAULT_TOL
-    except ValueError:
-        tol = math.nan
+def tolerance(text):
+    """The value of --tol: a finite, non-negative number."""
+    tol = float(text)
     if not 0.0 <= tol < math.inf:
-        raise GbdpError("GBDP_TOL must be a finite, non-negative number, "
-                        "got %r" % env)
+        raise argparse.ArgumentTypeError(
+            "must be a finite, non-negative number, got %r" % text)
     return tol
 
 
@@ -50,7 +46,6 @@ def describe_constraint(c):
 
 def cmd_check_commute(args):
     model = fileio.load_model(args.model)
-    tol = args.tol if args.tol is not None else default_tol()
     q = model.shape.q
     if q == 1:
         print("single direction: commutation is vacuous")
@@ -58,18 +53,18 @@ def cmd_check_commute(args):
     all_ok = True
     for i in range(1, q + 1):
         for j in range(i + 1, q + 1):
-            ok, residual = commute.commutes_direct(model, i, j, tol)
+            ok, residual = commute.commutes_direct(model, i, j, args.tol)
             residuals = commute.constraint_residuals(model, i, j)
             worst = max(abs(r) for _, r in residuals)
-            verdict = "commute" if ok and worst <= tol else "FAIL"
+            verdict = "commute" if ok and worst <= args.tol else "FAIL"
             print(
                 "pair (%d,%d): commutator residual %.3e, "
                 "max constraint residual %.3e [%s]"
                 % (i, j, residual, worst, verdict)
             )
-            if not ok or worst > tol:
+            if not ok or worst > args.tol:
                 all_ok = False
-                failing = [c for c, r in residuals if abs(r) > tol]
+                failing = [c for c, r in residuals if abs(r) > args.tol]
                 for c in failing[:10]:
                     print("  violated: " + describe_constraint(c))
                 if len(failing) > 10:
@@ -166,8 +161,9 @@ def build_parser():
         help="verify that all directional matrices pairwise commute",
     )
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--tol", type=float, default=None,
-                   help="absolute tolerance (default 1e-12 or GBDP_TOL)")
+    p.add_argument("--tol", type=tolerance, default=commute.DEFAULT_TOL,
+                   help="absolute tolerance, finite and non-negative "
+                        "(default %(default)g)")
     p.set_defaults(func=cmd_check_commute)
 
     p = sub.add_parser(

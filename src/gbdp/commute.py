@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .lattice import edge_table, grid_states, move_slot, shifted
+from .lattice import edge_table, grid_states, is_integer, move_slot, shifted
 from .model import directional_matrix
 
 # probabilities are O(1) so products are O(1); absolute tolerance
@@ -64,9 +64,9 @@ def constraint_columns(shape, i, j):
     the direction pair (i, j), one array each, in pair_constraints order."""
     if i == j:
         raise DomainError("self-commutation of direction %d is vacuous" % i)
-    if not (1 <= i <= shape.q and 1 <= j <= shape.q):
+    if not all(is_integer(d) and 1 <= d <= shape.q for d in (i, j)):
         raise DomainError(
-            "direction pair (%d, %d) outside 1..%d" % (i, j, shape.q)
+            "direction pair (%s, %s) outside 1..%d" % (i, j, shape.q)
         )
     t = edge_table(shape)
     lmax = max(shape.l1, shape.l2)

@@ -32,7 +32,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import DomainError, FormatError, PositivityError, ShapeError
-from .lattice import GridShape, edge_columns, in_grid
+from .lattice import GridShape, edge_columns, in_grid, is_integer
 from .model import TransitionModel
 from .param import Parametrization
 
@@ -50,12 +50,8 @@ def _check_keys(obj, required, optional, what):
         raise FormatError("%s is missing keys: %s" % (what, sorted(missing)))
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_int_list(x):
-    return isinstance(x, list) and all(_is_int(c) for c in x)
+    return isinstance(x, list) and all(is_integer(c) for c in x)
 
 
 def _number(x, what):
@@ -79,7 +75,7 @@ def _self_mass(x, what):
 
 def _check_version(doc, what):
     version = doc.get("format_version")
-    if not _is_int(version) or version != FORMAT_VERSION:
+    if not is_integer(version) or version != FORMAT_VERSION:
         raise FormatError(
             "%s format_version must be %d (got %r)"
             % (what, FORMAT_VERSION, version)
@@ -98,11 +94,11 @@ def _parse_shape(obj):
     _check_keys(obj, ("q", "dims", "l1", "l2"), (), "shape")
     if not _is_int_list(obj["dims"]):
         raise FormatError("shape dims must be a list of integers")
-    if not _is_int(obj["q"]) or obj["q"] != len(obj["dims"]):
+    if not is_integer(obj["q"]) or obj["q"] != len(obj["dims"]):
         raise FormatError(
             "shape q=%r does not match len(dims)=%d" % (obj["q"], len(obj["dims"]))
         )
-    if not _is_int(obj["l1"]) or not _is_int(obj["l2"]):
+    if not is_integer(obj["l1"]) or not is_integer(obj["l2"]):
         raise FormatError("shape l1 and l2 must be integers")
     try:
         return GridShape(tuple(obj["dims"]), obj["l1"], obj["l2"])

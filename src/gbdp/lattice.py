@@ -12,6 +12,7 @@ occurs somewhere in every direction.
 """
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,6 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ShapeError, UnsupportedConfigError
+
+
+def is_integer(x):
+    """Whether x is an integer argument: a numbers.Integral, not a bool."""
+    # plain ints skip the ABC check (30x slower) the loaders run per edge
+    return type(x) is int or (
+        isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 @dataclass(frozen=True)
@@ -36,7 +44,15 @@ class GridShape:
     l2: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        dims = tuple(self.dims)
+        names = ["n_%d" % i for i in range(1, len(dims) + 1)] + ["l1", "l2"]
+        for name, x in zip(names, dims + (self.l1, self.l2)):
+            if not is_integer(x):
+                raise ShapeError("shape invariant violated: %s is an integer "
+                                 "(got %r)" % (name, x))
+        object.__setattr__(self, "dims", tuple(map(int, dims)))
+        object.__setattr__(self, "l1", int(self.l1))
+        object.__setattr__(self, "l2", int(self.l2))
         validate_shape(self)
 
     @property
@@ -102,8 +118,10 @@ class Edge(NamedTuple):
 
 
 def in_grid(shape, u):
+    """Whether u is a state: q whole-number coordinates within bounds."""
     return len(u) == shape.q and all(
-        0 <= u[i] <= shape.dims[i] for i in range(shape.q)
+        isinstance(c, numbers.Real) and c % 1 == 0 and 0 <= c <= n
+        for c, n in zip(u, shape.dims)
     )
 
 
@@ -203,13 +221,12 @@ class Grid:
         return len(self.states)
 
     def index_of(self, u):
+        """The linear index of state u; integral floats index like ints."""
         u = tuple(u)
         if not in_grid(self.shape, u):
             raise DomainError("state %s is not on the grid" % (u,))
-        return int(np.ravel_multi_index(u, np.add(self.shape.dims, 1)))
-
-    def state_of(self, k):
-        return self.states[k]
+        return int(np.ravel_multi_index(tuple(map(int, u)),
+                                        np.add(self.shape.dims, 1)))
 
 
 def build_grid(shape):
@@ -227,8 +244,6 @@ def edge_between(shape, u, v):
     """The Edge u -> v if the pair is adjacent on the grid, else None."""
     u, v = tuple(u), tuple(v)
     if not (in_grid(shape, u) and in_grid(shape, v)):
-        return None
-    if any(c % 1 for c in u + v):  # fractional coordinates are on no grid
         return None
     diff = [i for i in range(shape.q) if u[i] != v[i]]
     if len(diff) != 1:

@@ -28,18 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, PositivityError
-from .lattice import (edge_columns, edge_pairs, edge_table, grid_states,
-                      move_slot, require_equal_bounds)
+from .lattice import (edge_pairs, edge_table, grid_states, move_slot,
+                      require_equal_bounds)
 from .model import TransitionModel
 
 # relative tolerance for the agreement of a class's edges: beta is a
 # product of at most sum(n_i) O(1) factors, which keeps relative error near
 # machine precision
 CONSISTENCY_RTOL = 1e-9
-# absolute bound on |beta_u p(u,v) - beta_v p(v,u)|: probabilities are at
-# most 1 and a recovered measure is gauged to 1 at the origin, so on the
-# grids checked each product is O(1) and carries an error of a few ulps
-BALANCE_TOL = 1e-10
 
 
 class EdgeClass(NamedTuple):
@@ -53,17 +49,6 @@ class EdgeClass(NamedTuple):
 def edge_classes(shape):
     """All edge classes, ordered by direction, jump size, offset."""
     return [EdgeClass(*c) for c in edge_table(shape).classes.tolist()]
-
-
-def edge_class_of(shape, u, v):
-    """The class of the adjacent pair {u, v}; symmetric in u and v."""
-    col = int(edge_columns(shape, [(tuple(u), tuple(v))])[0])
-    if col < 0:
-        raise DomainError(
-            "states %s and %s are not adjacent on the grid"
-            % (tuple(u), tuple(v))
-        )
-    return edge_classes(shape)[edge_table(shape).cls[col]]
 
 
 @dataclass
@@ -170,25 +155,3 @@ def recover_params(model):
     return Parametrization(shape, dict(zip(grid_states(shape), alpha.tolist())),
                            dict(zip(edge_classes(shape), val[first].tolist())))
 
-
-def detailed_balance_check(model, beta):
-    """(bool, worst) for |beta_u p(u,v) - beta_v p(v,u)| <= BALANCE_TOL on
-    all edges.
-
-    worst is (u, v, violation) for the largest violation.
-    """
-    beta = {tuple(u): float(b) for u, b in beta.items()}
-    for u, b in beta.items():
-        if b <= 0.0:
-            raise PositivityError(
-                "beta at %s must be strictly positive (got %r)" % (u, b)
-            )
-    t = edge_table(model.shape)
-    b = np.array([beta[u] for u in grid_states(model.shape)])
-    prob = model.edge_prob
-    up = np.flatnonzero(t.step > 0)
-    back = np.where(t.reverse[up] >= 0, prob[t.reverse[up]], 0.0)
-    violation = np.abs(b[t.src[up]] * prob[up] - b[t.dst[up]] * back)
-    k = int(np.argmax(violation))
-    worst = edge_pairs(model.shape)[up[k]] + (float(violation[k]),)
-    return worst[2] <= BALANCE_TOL, worst

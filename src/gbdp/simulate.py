@@ -20,12 +20,10 @@ A trajectory that falls into the sink (possible only for absorbing models)
 terminates and is reported under the key None.
 """
 
-import numbers
-
 import numpy as np
 
 from .errors import DomainError
-from .lattice import edge_table, grid_states
+from .lattice import Grid, edge_table, is_integer
 from .model import ROW_SUM_TOL, row_mass
 from .spectral import _check_power
 
@@ -114,32 +112,25 @@ def step(bounds, targets, cur, r):
     return targets[cur, (bounds[cur] <= r[:, None]).sum(axis=1)]
 
 
-def _require_integer(x, what):
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise DomainError("%s must be an integer, got %r" % (what, x))
-    return int(x)
-
-
 def empirical_kstep(model, u0, k, trials, seed):
     """Frequency of each end state over `trials` k-step trajectories from u0.
 
     Deterministic in (model, u0, k, trials, seed); absorbed trajectories are
     tallied under None.
     """
-    u0 = tuple(u0)
-    trials = _require_integer(trials, "trials")
+    if not is_integer(trials):
+        raise DomainError("trials must be an integer, got %r" % (trials,))
     if trials < 1:
         raise DomainError("trials must be positive, got %r" % (trials,))
     k = _check_power(k)
-    seed = _require_integer(seed, "seed")
+    if not is_integer(seed):
+        raise DomainError("seed must be an integer, got %r" % (seed,))
+    trials, seed = int(trials), int(seed)
     _require_samplable(model)
-    states = grid_states(model.shape)
-    try:
-        start = states.index(u0)
-    except ValueError:
-        raise DomainError("state %s is not on the grid" % (u0,))
+    grid = Grid(model.shape)
+    start = grid.index_of(u0)
     bounds, targets = cdf_table(model)
-    n = len(states)
+    n = len(grid)
     counts = np.zeros(n + 1, dtype=np.int64)
     for first in range(0, trials, CHUNK):
         m = min(CHUNK, trials - first)
@@ -150,6 +141,6 @@ def empirical_kstep(model, u0, k, trials, seed):
             cur = step(bounds, targets, cur, draws[:, j % 4])
         counts += np.bincount(cur, minlength=n + 1)
     return {
-        (states[i] if i < n else None): c / trials
+        (grid.states[i] if i < n else None): c / trials
         for i, c in enumerate(counts.tolist()) if c
     }

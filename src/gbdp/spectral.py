@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
-from .lattice import grid_states, require_equal_bounds
+from .lattice import grid_states, is_integer, require_equal_bounds
 from .model import check_self_mass
 from .param import edge_classes
 
@@ -62,8 +62,8 @@ def block_decompose(p):
 def direction_operator(decomp, i):
     """Full-size A(i), dense N x N, for the oracles in tests and demos."""
     shape = decomp.shape
-    if not 1 <= i <= shape.q:
-        raise DomainError("direction %d outside 1..%d" % (i, shape.q))
+    if not (is_integer(i) and 1 <= i <= shape.q):
+        raise DomainError("direction %s outside 1..%d" % (i, shape.q))
     factors = [np.eye(n + 1) for n in shape.dims]
     factors[i - 1] = decomp.blocks[i - 1]
     return reduce(np.kron, factors)
@@ -143,6 +143,6 @@ def matrix_power(p_matrix, k):
 
 
 def _check_power(k):
-    if int(k) != k or k < 0:
+    if not is_integer(k) or k < 0:
         raise DomainError("step count must be a non-negative integer, got %r" % (k,))
     return int(k)

@@ -6,6 +6,7 @@ import pytest
 
 from gbdp import GridShape, Parametrization, build_grid, build_model, edge_classes
 from gbdp.lattice import edge_table
+from gbdp.param import EdgeClass
 
 # the worked 3x3-states-per-direction grid with jumps up to 2
 EXP_SHAPE = GridShape((2, 2), 2, 2)
@@ -25,6 +26,13 @@ def make_parametrization(shape, rng, low=0.5, high=2.0):
 
 def make_commuting_model(shape, rng, **kwargs):
     return build_model(make_parametrization(shape, rng), **kwargs)
+
+
+def class_of(u, v):
+    """The class of the adjacent pair {u, v}, from its coordinates alone:
+    the changed axis, the smaller endpoint on it, and the jump size."""
+    (i,) = [i for i in range(len(u)) if u[i] != v[i]]
+    return EdgeClass(i + 1, min(u[i], v[i]), abs(v[i] - u[i]))
 
 
 def grid_adjacency(shape):

@@ -71,23 +71,22 @@ def test_check_commute_flags_a_broken_model(bad_model, capsys):
     assert "violated: family" in out
 
 
-def test_check_commute_tolerance_sources(bad_model, monkeypatch):
-    monkeypatch.setenv("GBDP_TOL", "1.0")
-    assert main(["check-commute", "--model", bad_model]) == 0
+def test_check_commute_tolerance_sources(bad_model):
+    assert main(["check-commute", "--model", bad_model, "--tol", "1.0"]) == 0
     assert main(["check-commute", "--model", bad_model,
                  "--tol", "1e-12"]) == 1
-    monkeypatch.delenv("GBDP_TOL")
     assert main(["check-commute", "--model", bad_model]) == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize("value", ["abc", "-1e-9", "-1", "nan", "inf"])
 def test_a_malformed_tolerance_variable_is_an_input_error(
-    good_model, monkeypatch, capsys, value
+    good_model, capsys, value
 ):
-    monkeypatch.setenv("GBDP_TOL", value)
-    assert main(["check-commute", "--model", good_model]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check-commute", "--model", good_model, "--tol=" + value])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "GBDP_TOL" in err
+    assert "error: argument --tol:" in err and repr(value) in err
 
 
 def test_check_commute_is_vacuous_in_one_dimension(tmp_path, capsys):

@@ -155,5 +155,8 @@ def test_self_pair_and_out_of_range_pair_are_domain_errors():
         commutes_direct(model, 1, 1)
     with pytest.raises(DomainError, match="vacuous"):
         pair_constraints(EXP_SHAPE, 2, 2)
-    with pytest.raises(DomainError, match="outside"):
-        pair_constraints(EXP_SHAPE, 1, 3)
+    for i, j in ((1, 3), (1.5, 2), (1, 2.0), (True, 2)):
+        with pytest.raises(DomainError, match="outside 1..2"):
+            pair_constraints(EXP_SHAPE, i, j)
+        with pytest.raises(DomainError, match="outside 1..2"):
+            commutes_direct(model, i, j)

@@ -16,8 +16,8 @@ from gbdp import (
 from gbdp.errors import DomainError, ShapeError
 from gbdp.lattice import (
     edge_columns, edge_pairs, edge_table, in_grid, shifted)
-from gbdp.param import edge_class_of, edge_classes
-from conftest import grid_adjacency, grid_laplacian
+from gbdp.param import edge_classes
+from conftest import class_of, grid_adjacency, grid_laplacian
 
 # q = 1, 2, 3, with and without l1 = l2
 TABLE_SWEEP = [((1,), 1, 1), ((3,), 2, 1), ((4,), 1, 3), ((2, 2), 2, 2),
@@ -51,13 +51,19 @@ def test_index_bijection(dims, l1, l2):
     grid = build_grid(GridShape(dims, l1, l2))
     for k, u in enumerate(grid.states):
         assert grid.index_of(u) == k
-        assert grid.state_of(k) == u
 
 
 def test_index_of_off_grid_state_is_a_domain_error():
     grid = build_grid(GridShape((2, 2), 1, 1))
-    with pytest.raises(DomainError, match="not on the grid"):
-        grid.index_of((3, 0))
+    for u in ((3, 0), (0.5, 1), (1, -1), (1,), (1, float("nan")), ("1", 1)):
+        with pytest.raises(DomainError, match="not on the grid"):
+            grid.index_of(u)
+
+
+def test_index_of_takes_integral_floats_and_numpy_integers():
+    grid = build_grid(GridShape((2, 2), 1, 1))
+    assert grid.index_of((1.0, 1)) == grid.index_of((1, 1)) == 4
+    assert grid.index_of(np.array([2, 1])) == 7
 
 
 @pytest.mark.parametrize("dims,l1,l2,bad", [
@@ -69,10 +75,22 @@ def test_index_of_off_grid_state_is_a_domain_error():
     ((2 ** 32, 2 ** 31), 1, 1, "prod\\(n_i \\+ 1\\) < 2\\^63"),
     ((1, 10 ** 400), 1, 1, "prod\\(n_i \\+ 1\\) < 2\\^63"),
     ((2 ** 31, 2 ** 31), 1, 1, "edge table's move lookup"),
+    ((2.5, 2), 1, 1, "n_1 is an integer"),
+    ((2, 2.0), 1, 1, "n_2 is an integer"),
+    (("3", 2), 1, 1, "n_1 is an integer"),
+    ((True, 2), 1, 1, "n_1 is an integer"),
+    ((2, 2), 1.5, 1.5, "l1 is an integer"),
+    ((2, 2), 1, True, "l2 is an integer"),
 ])
 def test_shape_violations_name_the_invariant(dims, l1, l2, bad):
     with pytest.raises(ShapeError, match=bad):
         GridShape(dims, l1, l2)
+
+
+def test_numpy_integer_shapes_are_plain_ints():
+    shape = GridShape(np.array([2, 3]), np.int64(2), np.uint8(1))
+    assert shape == GridShape((2, 3), 2, 1)
+    assert all(type(x) is int for x in shape.dims + (shape.l1, shape.l2))
 
 
 def test_directed_edge_count_for_jumps_up_to_two():
@@ -139,7 +157,7 @@ def test_interior_state_degree_with_size_two_jumps_clipped():
     grid = build_grid(shape)
     k = grid.index_of((1, 1))
     assert adj[k].sum() == 4
-    neighbors = {grid.state_of(int(j)) for j in np.flatnonzero(adj[k])}
+    neighbors = {grid.states[j] for j in np.flatnonzero(adj[k])}
     assert neighbors == {(0, 1), (2, 1), (1, 0), (1, 2)}
 
 
@@ -232,9 +250,7 @@ def test_edge_table_classes_follow_edge_classes_order(dims, l1, l2):
     assert edge_classes(shape) == classes
     t = edge_table(shape)
     for e, k in zip(directed_edges(shape), t.cls.tolist()):
-        i = e.direction
-        cls = (i, min(e.u[i - 1], e.v[i - 1]), abs(e.step))
-        assert classes[k] == cls == edge_class_of(shape, e.u, e.v)
+        assert classes[k] == class_of(e.u, e.v)
 
 
 def test_edge_table_is_read_only_and_built_once_per_shape():

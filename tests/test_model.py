@@ -44,8 +44,11 @@ def test_empty_model_gives_zero_matrix():
 
 def test_direction_out_of_range_is_a_domain_error():
     model = TransitionModel(EXP_SHAPE, {})
-    with pytest.raises(DomainError, match="direction 3 outside 1..2"):
-        directional_matrix(model, 3)
+    for i in (3, 0, 1.5, 2.0, True):
+        with pytest.raises(DomainError, match="direction %s outside 1..2" % i):
+            directional_matrix(model, i)
+    assert np.array_equal(directional_matrix(model, np.int64(2)),
+                          directional_matrix(model, 2))
 
 
 def test_directional_matrices_split_the_probabilities(rng):
@@ -88,7 +91,7 @@ def test_boundary_zeros(rng):
     for i in (1, 2):
         mat = directional_matrix(model, i)
         for a in np.argwhere(mat != 0):
-            u, v = grid.state_of(int(a[0])), grid.state_of(int(a[1]))
+            u, v = grid.states[a[0]], grid.states[a[1]]
             e = edge_between(shape, u, v)
             assert e is not None and e.direction == i
 
@@ -104,6 +107,16 @@ def test_validate_flags_illegal_edge():
     model = TransitionModel(EXP_SHAPE, {((2, 0), (3, 0)): 0.1}, absorbing=True)
     report = validate(model)
     assert any("exits grid" in r for r in report)
+
+
+def test_validate_flags_self_mass_off_the_grid():
+    # the sampler and row_mass never read these keys
+    shape = GridShape((1,), 1, 1)
+    table = {(2,): 0.1, (0.5,): 0.1, (1.0,): 0.5}
+    model = TransitionModel(shape, {((0,), (1,)): 1.0, ((1,), (0,)): 0.5},
+                            self_prob=table)
+    assert validate(model) == ["self-transition at off-grid state (2,)",
+                               "self-transition at off-grid state (0.5,)"]
 
 
 def test_validate_flags_probability_outside_unit_interval():

@@ -86,8 +86,9 @@ def test_runs_are_reproducible_and_seed_sensitive():
     a = empirical_kstep(CHAIN, (0,), 4, 2000, seed=11)
     b = empirical_kstep(CHAIN, (0,), 4, 2000, seed=11)
     c = empirical_kstep(CHAIN, (0,), 4, 2000, seed=12)
-    assert a == b
+    assert a == b == empirical_kstep(CHAIN, (0.0,), 4, 2000, seed=11)
     assert a != c
+    assert empirical_kstep(CHAIN, [0], 4, 2000, np.int64(11)) == a
     assert sum(a.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -153,8 +154,9 @@ def test_sampling_guards():
     for seed in (1.5, 5.0, True, "5", None):
         with pytest.raises(DomainError, match="seed must be an integer"):
             empirical_kstep(CHAIN, (0,), 1, 10, seed=seed)
-    with pytest.raises(DomainError, match="not on the grid"):
-        empirical_kstep(CHAIN, (9,), 1, 10, seed=0)
+    for start in ((9,), (0.5,), (0, 0), ("0",)):
+        with pytest.raises(DomainError, match="not on the grid"):
+            empirical_kstep(CHAIN, start, 1, 10, seed=0)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 64 - 1])

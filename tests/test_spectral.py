@@ -84,8 +84,9 @@ def test_direction_operator_is_a_kronecker_factor(rng):
     assert np.array_equal(
         direction_operator(decomp, 2), np.kron(eye, decomp.blocks[1])
     )
-    with pytest.raises(DomainError, match="outside 1..2"):
-        direction_operator(decomp, 3)
+    for i in (3, 1.5, True):
+        with pytest.raises(DomainError, match="outside 1..2"):
+            direction_operator(decomp, i)
 
 
 def test_b_vector_follows_state_order(rng):
@@ -190,11 +191,14 @@ def test_self_mass_range_is_checked(rng):
 
 def test_step_counts_must_be_non_negative_integers(rng):
     p = make_parametrization(EXP_SHAPE, rng)
-    for bad in (-1, 2.5):
+    for bad in (-1, 2.5, 2.0, True, float("nan"), float("inf"), "2", None):
         with pytest.raises(DomainError, match="non-negative integer"):
             k_step(p, bad)
         with pytest.raises(DomainError, match="non-negative integer"):
             matrix_power(np.eye(2), bad)
+    for k in (np.int64(2), np.uint8(2)):
+        assert np.array_equal(k_step(p, k), k_step(p, 2))
+        assert np.array_equal(matrix_power(np.eye(2), k), np.eye(2))
 
 
 def test_matrix_power_basics(rng):
