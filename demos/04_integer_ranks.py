@@ -1,30 +1,34 @@
 """
-Exact integer ranks of the constraint and parameter matrices
-============================================================
+Certified ranks of the constraint and parameter matrices
+========================================================
 
 Taking logarithms turns the bilinear commutation constraints into integer
 linear equations on the directed edges (matrix Q, entries in {-1,0,+1})
 and the positive parametrization into an integer linear map (matrix R).
-Q R^T = 0 always.  Ranks are computed by fraction-free elimination over
-exact integers, so the reported numbers carry no floating-point caveat.
+Q R^T = 0 always.  certified_ranks proves rank Q without eliminating Q:
+propagation over the constraints picks independent constraints that pin
+all but a free set F of edges (rank Q >= columns - |F|), and the exact
+kernel [R; Z] of R and the line-cycle flows Z gives rank Q <= columns -
+rank [R; Z].  The two bounds meet, so the reported numbers carry no
+floating-point caveat, and the pinning constraints are an explicit minimal
+set that ensures the commutation.
 """
 
 from gbdp import (
     GridShape,
     build_Q,
-    build_R,
+    certified_ranks,
     integer_rank,
     rank_formula_Q,
     rank_formula_R,
-    verify_orthocomplement,
 )
 
 # unit jumps: the two row spaces are exact orthogonal complements
 shape = GridShape((2, 2), 1, 1)
-rep = verify_orthocomplement(shape)
+cert = certified_ranks(shape)
 print("unit jumps on the 3x3 grid:")
-print("  Q rank %d + R rank %d = %d columns, product zero: %s"
-      % (rep.rank_Q, rep.rank_R, rep.cols, rep.product_zero))
+print("  Q rank %d + R rank %d = %d columns"
+      % (cert.rank_Q, cert.rank_R, cert.cols))
 
 # two-step jumps: the constraints leave more freedom than the closed-form
 # count suggests.  Every constraint uses its edge along one axis once on
@@ -35,25 +39,32 @@ print("  Q rank %d + R rank %d = %d columns, product zero: %s"
 # (axis, jump size >= 2, offset); the rank of Q falls short of the closed
 # form by that count.
 shape = GridShape((2, 2), 2, 2)
-q = build_Q(shape)
-r = build_R(shape)
+cert = certified_ranks(shape)
 print("two-step jumps on the 3x3 grid:")
-print("  Q is %dx%d, R is %dx%d" % (q.rows, q.cols, r.rows, r.cols))
-print("  exact rank Q = %d (closed form %d)"
-      % (integer_rank(q), rank_formula_Q(shape)))
+print("  Q is %dx%d, R is %dx%d"
+      % (cert.rows, cert.cols, cert.params, cert.cols))
+print("  certified rank Q = %d (closed form %d, elimination %d)"
+      % (cert.rank_Q, rank_formula_Q(shape), integer_rank(build_Q(shape))))
 print("  exact rank R = %d (closed form %d)"
-      % (integer_rank(r), rank_formula_R(shape)))
+      % (cert.rank_R, rank_formula_R(shape)))
 cycles = sum(n - x + 1 for n in shape.dims for x in range(2, shape.l1 + 1))
-rep = verify_orthocomplement(shape)
 print("  rank gap %d = line-graph cycles %d"
-      % (rep.cols - rep.rank_Q - rep.rank_R, cycles))
+      % (cert.cols - cert.rank_Q - cert.rank_R, cycles))
+
+# the minimal constraint set: these rows of Q alone ensure the commutation
+q = build_Q(shape)
+print("  %d of %d constraints suffice, pinning all but %d edges; the first:"
+      % (len(cert.basis), cert.rows, len(cert.free)))
+for k in cert.basis[:3]:
+    c = q.row_labels[k]
+    print("    family %d at %s: step %+d along %d vs step %+d along %d"
+          % (c.family, c.base, c.step_i, c.i, c.step_j, c.j))
 
 # the gap follows the cycle count across shapes
 print("shape sweep (dims, l, gap, cycles):")
 for dims, l in [((2, 2), 1), ((3, 3), 2), ((4, 4), 2), ((2, 2, 2), 2),
                 ((3, 3), 3)]:
-    shape = GridShape(dims, l, l)
-    rep = verify_orthocomplement(shape)
-    gap = rep.cols - rep.rank_Q - rep.rank_R
+    cert = certified_ranks(GridShape(dims, l, l))
+    gap = cert.cols - cert.rank_Q - cert.rank_R
     cycles = sum(n - x + 1 for n in dims for x in range(2, l + 1))
     print("  %-10s l=%d  gap %2d  cycles %2d" % (dims, l, gap, cycles))

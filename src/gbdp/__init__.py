@@ -4,20 +4,20 @@ Discrete-time Markov chains whose jumps move one coordinate at a time, up
 to l1 steps forward or l2 backward.  The package verifies and constructs
 models whose directional transition matrices commute, computes k-step
 probabilities in closed form from small symmetric blocks, rescales models
-to stochastic via the Perron root, and builds the integer constraint and
-parameter matrices, checking how their mutually orthogonal row spaces
-fill the edge space.
+to stochastic via the Perron root, and certifies the ranks of the integer
+constraint and parameter matrices, with an explicit minimal set of
+constraints that ensure the commutation.
 """
 
 from .algebra import (
     IntMatrix,
     build_Q,
     build_R,
+    certified_ranks,
     integer_rank,
     order_formula_Q,
     rank_formula_Q,
     rank_formula_R,
-    verify_orthocomplement,
 )
 from .commute import (
     Constraint,

@@ -12,7 +12,8 @@ import math
 import sys
 
 from . import commute, fileio
-from .algebra import rank_formula_Q, rank_formula_R, verify_orthocomplement
+from .algebra import (build_Q, build_R, certified_ranks, rank_formula_Q,
+                      rank_formula_R)
 from .errors import GbdpError
 from .lattice import GridShape, build_grid
 from .model import check_self_mass, full_matrix, row_mass
@@ -102,25 +103,25 @@ def _int_list(text, flag):
 
 def cmd_ranks(args):
     shape = GridShape(_int_list(args.dims, "--dims"), args.l, args.l)
-    rep = verify_orthocomplement(shape)
-    q, r = rep.Q, rep.R
+    cert = certified_ranks(shape)
     formula_q = rank_formula_Q(shape)
     formula_r = rank_formula_R(shape)
+    complement = cert.rank_Q + cert.rank_R == cert.cols
+    # certified_ranks returns only once Q [R; Z]^T = 0 is checked
     print(
         "Q: %dx%d rank %d (formula %d); R: %dx%d rank %d (formula %d); "
-        "QR^T=0: %s; rank Q + rank R = columns: %s"
+        "QR^T=0: yes; rank Q + rank R = columns: %s"
         % (
-            q.rows, q.cols, rep.rank_Q, formula_q,
-            r.rows, r.cols, rep.rank_R, formula_r,
-            "yes" if rep.product_zero else "NO",
-            "yes" if rep.ranks_sum_to_cols else "NO",
+            cert.rows, cert.cols, cert.rank_Q, formula_q,
+            cert.params, cert.cols, cert.rank_R, formula_r,
+            "yes" if complement else "NO",
         )
     )
     if args.dump:
-        for m, tag in ((q, ".Q"), (r, ".R")):
+        for m, tag in ((build_Q(shape), ".Q"), (build_R(shape), ".R")):
             paths = fileio.dump_int_matrix(m, args.dump + tag)
             print("wrote " + ", ".join(paths))
-    ok = rep.complement and (rep.rank_Q, rep.rank_R) == (formula_q, formula_r)
+    ok = complement and (cert.rank_Q, cert.rank_R) == (formula_q, formula_r)
     return 0 if ok else 1
 
 

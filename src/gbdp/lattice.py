@@ -44,7 +44,11 @@ class GridShape:
     l2: int
 
     def __post_init__(self):
-        dims = tuple(self.dims)
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise ShapeError("shape invariant violated: dims is a sequence "
+                             "(got %r)" % (self.dims,)) from None
         names = ["n_%d" % i for i in range(1, len(dims) + 1)] + ["l1", "l2"]
         for name, x in zip(names, dims + (self.l1, self.l2)):
             if not is_integer(x):
@@ -222,7 +226,10 @@ class Grid:
 
     def index_of(self, u):
         """The linear index of state u; integral floats index like ints."""
-        u = tuple(u)
+        try:
+            u = tuple(u)
+        except TypeError:
+            raise DomainError("state %r is not on the grid" % (u,)) from None
         if not in_grid(self.shape, u):
             raise DomainError("state %s is not on the grid" % (u,))
         return int(np.ravel_multi_index(tuple(map(int, u)),

@@ -18,6 +18,7 @@ Dense matrices (the directional parts P_i and the full matrix P = sum_i P_i
 lattice index order.
 """
 
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,7 +93,12 @@ class TransitionModel:
 
 
 def check_self_mass(alpha_self):
-    """alpha_self as a float; DomainError unless it lies in [0, 1)."""
+    """alpha_self as a float; DomainError unless it is a real number, not
+    a bool, in [0, 1)."""
+    real = isinstance(alpha_self, numbers.Real)
+    if not real or isinstance(alpha_self, bool):
+        raise DomainError("self mass must be a real number, got %r"
+                          % (alpha_self,))
     a = float(alpha_self)
     if not 0.0 <= a < 1.0:
         raise DomainError("self mass %r outside [0, 1)" % alpha_self)

@@ -102,7 +102,8 @@ def line_cycle_kernel(shape, col_labels):
     columns of build_Q / build_R.  A constraint uses its edge along each
     axis once on each side, with the same source and target coordinate on
     that axis, so any function of (axis, line source, line target) solves
-    it: Q Z^T = 0, and rank Q <= cols - rank [R; Z].
+    it: Q Z^T = 0, and rank Q <= cols - rank [R; Z].  This loop form is
+    the oracle of the vectorized algebra.line_cycle_kernel.
     """
     cycles = [
         (i, _cycle_flow(r, x))

@@ -1,4 +1,4 @@
-"""Integer constraint and parameter matrices, exact ranks, orthogonality."""
+"""Integer constraint and parameter matrices, exact and certified ranks."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,26 @@ import pytest
 from gbdp import (
     GridShape,
     IntMatrix,
+    TransitionModel,
     build_Q,
     build_R,
+    certified_ranks,
+    commutes_direct,
+    constraint_residuals,
     integer_rank,
     order_formula_Q,
     rank_formula_Q,
     rank_formula_R,
-    verify_orthocomplement,
+    recover_params,
 )
-from gbdp.commute import Constraint
-from gbdp.errors import UnsupportedConfigError
+from gbdp import algebra
+from gbdp.algebra import line_cycle_kernel
+from gbdp.commute import DEFAULT_TOL, Constraint
+from gbdp.errors import ConsistencyError, GbdpError, UnsupportedConfigError
+from gbdp.lattice import edge_pairs
 from gbdp.param import EdgeClass
-from conftest import (EXP_SHAPE, grid_laplacian, line_cycle_count,
-                      line_cycle_kernel)
+import conftest
+from conftest import EXP_SHAPE, grid_laplacian, line_cycle_count
 
 SWEEP = [
     GridShape((3,), 1, 1),
@@ -126,7 +133,7 @@ def test_constraint_rank_is_the_closed_form_minus_the_line_cycles(shape):
 def test_line_cycle_kernel_certifies_the_rank_gap(shape):
     q = build_Q(shape)
     r = build_R(shape)
-    z = line_cycle_kernel(shape, q.col_labels)
+    z = conftest.line_cycle_kernel(shape, q.col_labels)
     assert z.shape == (line_cycle_count(shape), q.cols)
     assert z.any(axis=1).all()
     assert not z.sum(axis=1).any()
@@ -151,18 +158,16 @@ def test_constraint_and_parameter_rows_are_orthogonal(shape):
 
 
 def test_unit_jump_report_is_a_full_complement():
-    report = verify_orthocomplement(GridShape((1, 1), 1, 1))
-    assert report.product_zero
-    assert (report.rank_Q, report.rank_R, report.cols) == (3, 5, 8)
-    assert report.ranks_sum_to_cols and report.complement
+    cert = certified_ranks(GridShape((1, 1), 1, 1))
+    assert (cert.rank_Q, cert.rank_R, cert.cols) == (3, 5, 8)
+    assert cert.rank_Q + cert.rank_R == cert.cols
 
 
 def test_multi_step_report_shows_the_rank_gap():
-    report = verify_orthocomplement(EXP_SHAPE)
-    assert report.product_zero
-    assert (report.rank_Q, report.rank_R, report.cols) == (20, 14, 36)
-    assert not report.ranks_sum_to_cols and not report.complement
-    assert report.cols - report.rank_Q - report.rank_R == line_cycle_count(
+    cert = certified_ranks(EXP_SHAPE)
+    assert (cert.rows, cert.cols, cert.params) == (36, 36, 15)
+    assert (cert.rank_Q, cert.rank_R) == (20, 14)
+    assert cert.cols - cert.rank_Q - cert.rank_R == line_cycle_count(
         EXP_SHAPE
     )
 
@@ -171,17 +176,93 @@ def test_single_direction_grid_has_no_constraints():
     shape = GridShape((3,), 1, 1)
     q = build_Q(shape)
     assert q.rows == 0 and integer_rank(q) == 0
-    report = verify_orthocomplement(shape)
-    assert report.product_zero and report.complement
-    assert report.rank_R == report.cols == 6
+    cert = certified_ranks(shape)
+    assert cert.rows == cert.rank_Q == len(cert.basis) == 0
+    assert cert.free.tolist() == list(range(6))
+    assert cert.rank_R == cert.cols == 6
 
 
 def test_unequal_jump_bounds_are_refused():
     shape = GridShape((2, 2), 2, 1)
     for fn in (build_Q, build_R, rank_formula_Q, rank_formula_R,
-               order_formula_Q, verify_orthocomplement):
+               order_formula_Q, certified_ranks, line_cycle_kernel):
         with pytest.raises(UnsupportedConfigError, match="equal jump bounds"):
             fn(shape)
+
+
+@pytest.mark.parametrize("shape", SWEEP)
+def test_certified_ranks_equal_the_exact_elimination(shape):
+    cert = certified_ranks(shape)
+    q = build_Q(shape)
+    r = build_R(shape)
+    assert (cert.rows, cert.cols, cert.params) == (q.rows, q.cols, r.rows)
+    assert cert.rank_Q == integer_rank(q) == len(cert.basis)
+    assert cert.rank_R == integer_rank(r)
+    z = conftest.line_cycle_kernel(shape, q.col_labels)
+    assert len(cert.free) == integer_rank(np.vstack([r.entries, z]))
+    # the basis rows are independent, so with rank_Q of them they span Q
+    assert integer_rank(q.entries[cert.basis]) == len(cert.basis)
+    assert np.all(np.diff(cert.basis) > 0) and np.all(np.diff(cert.free) > 0)
+
+
+@pytest.mark.parametrize("shape", SWEEP)
+def test_vectorized_cycle_kernel_matches_the_oracle(shape):
+    z = line_cycle_kernel(shape)
+    assert np.array_equal(z, conftest.line_cycle_kernel(shape,
+                                                        edge_pairs(shape)))
+
+
+def solve_basis(q, cert, y_free):
+    """Edge log-weights that take y_free on F and solve the basis rows of
+    q: each pass pins the unknown edge of every basis row left with one."""
+    rows = q.entries[cert.basis]
+    y = np.zeros(q.cols, dtype=np.int64)
+    known = np.zeros(q.cols, dtype=bool)
+    y[cert.free], known[cert.free] = y_free, True
+    while not known.all():
+        open_ = (rows != 0) & ~known
+        ready = np.flatnonzero(open_.sum(axis=1) == 1)
+        assert ready.size, "the basis rows are not triangular"
+        edge = open_[ready].argmax(axis=1)
+        y[edge] = -(rows[ready] @ y) * rows[ready, edge]
+        known[edge] = True
+    return y
+
+
+@pytest.mark.parametrize("shape", SWEEP)
+def test_weights_on_the_free_edges_propagate_to_a_kernel_vector(shape, rng):
+    cert = certified_ranks(shape)
+    q = build_Q(shape)
+    y = solve_basis(q, cert, rng.integers(-3, 4, size=len(cert.free)))
+    assert not (q.entries @ y).any()
+
+
+def test_a_propagated_model_commutes_but_has_no_parametrization(rng):
+    cert = certified_ranks(EXP_SHAPE)
+    y = solve_basis(build_Q(EXP_SHAPE), cert,
+                    rng.integers(-2, 3, size=len(cert.free)))
+    model = TransitionModel(EXP_SHAPE, dict(zip(edge_pairs(EXP_SHAPE),
+                                                0.05 * np.exp(0.1 * y))))
+    assert max(abs(v) for _, v in constraint_residuals(model, 1, 2)) <= (
+        DEFAULT_TOL)
+    assert commutes_direct(model, 1, 2)[0]
+    # its line-cycle part is no vertex/class parametrization: the erratum
+    with pytest.raises(ConsistencyError):
+        recover_params(model)
+
+
+def test_disagreeing_bounds_are_an_error(monkeypatch):
+    z = line_cycle_kernel(EXP_SHAPE)
+    monkeypatch.setattr(algebra, "line_cycle_kernel", lambda shape: z[1:])
+    with pytest.raises(GbdpError, match="rank Q >= 20, the kernel .* "
+                                        "rank Q <= 21"):
+        certified_ranks(EXP_SHAPE)
+    unit = np.zeros_like(z[:1])
+    unit[0, 0] = 1
+    monkeypatch.setattr(algebra, "line_cycle_kernel",
+                        lambda shape: np.vstack([z, unit]))
+    with pytest.raises(GbdpError, match=r"Q \[R; Z\]\^T is not zero"):
+        certified_ranks(EXP_SHAPE)
 
 
 def test_int_matrix_checks_its_legends():

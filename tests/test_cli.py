@@ -20,6 +20,7 @@ from gbdp import (
     save_model,
     save_params,
 )
+from gbdp import algebra
 from gbdp.cli import main
 from conftest import EXP_SHAPE, make_parametrization
 
@@ -218,6 +219,13 @@ def test_ranks_input_errors(capsys):
     assert main(["ranks", "--dims", "two", "--l", "1"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "comma-separated integers" in err
+
+
+def test_ranks_exits_2_when_the_rank_is_not_certified(monkeypatch, capsys):
+    z = algebra.line_cycle_kernel(EXP_SHAPE)
+    monkeypatch.setattr(algebra, "line_cycle_kernel", lambda shape: z[1:])
+    assert main(["ranks", "--dims", "2,2", "--l", "2"]) == 2
+    assert "rank of Q not certified" in capsys.readouterr().err
 
 
 def test_ranks_dump_writes_triplets(tmp_path, capsys):

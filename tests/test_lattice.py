@@ -55,7 +55,8 @@ def test_index_bijection(dims, l1, l2):
 
 def test_index_of_off_grid_state_is_a_domain_error():
     grid = build_grid(GridShape((2, 2), 1, 1))
-    for u in ((3, 0), (0.5, 1), (1, -1), (1,), (1, float("nan")), ("1", 1)):
+    for u in ((3, 0), (0.5, 1), (1, -1), (1,), (1, float("nan")), ("1", 1),
+              5, None):
         with pytest.raises(DomainError, match="not on the grid"):
             grid.index_of(u)
 
@@ -81,6 +82,8 @@ def test_index_of_takes_integral_floats_and_numpy_integers():
     ((True, 2), 1, 1, "n_1 is an integer"),
     ((2, 2), 1.5, 1.5, "l1 is an integer"),
     ((2, 2), 1, True, "l2 is an integer"),
+    (5, 1, 1, "dims is a sequence"),
+    (None, 1, 1, "dims is a sequence"),
 ])
 def test_shape_violations_name_the_invariant(dims, l1, l2, bad):
     with pytest.raises(ShapeError, match=bad):

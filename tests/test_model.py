@@ -214,3 +214,12 @@ def test_keys_are_resolved_once_per_model(monkeypatch):
         recover_params(model)
         cdf_table(model)
     assert calls == [shape] * len(models)
+
+
+def test_self_mass_is_a_real_number_not_a_bool():
+    check = gbdp.model.check_self_mass
+    assert check(0) == 0.0
+    assert check(np.float32(0.25)) == 0.25
+    for bad in ("0.5", "abc", True, np.bool_(False), None):
+        with pytest.raises(DomainError, match="must be a real number"):
+            check(bad)

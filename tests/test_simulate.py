@@ -154,7 +154,7 @@ def test_sampling_guards():
     for seed in (1.5, 5.0, True, "5", None):
         with pytest.raises(DomainError, match="seed must be an integer"):
             empirical_kstep(CHAIN, (0,), 1, 10, seed=seed)
-    for start in ((9,), (0.5,), (0, 0), ("0",)):
+    for start in ((9,), (0.5,), (0, 0), ("0",), 5):
         with pytest.raises(DomainError, match="not on the grid"):
             empirical_kstep(CHAIN, start, 1, 10, seed=0)
 

@@ -187,6 +187,8 @@ def test_self_mass_range_is_checked(rng):
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(DomainError, match="outside"):
             k_step_with_self(p, bad, 2)
+    with pytest.raises(DomainError, match="must be a real number"):
+        k_step_with_self(p, "0.5", 2)
 
 
 def test_step_counts_must_be_non_negative_integers(rng):
