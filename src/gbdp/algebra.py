@@ -20,12 +20,22 @@ must meet:
   column joins the free set F, and a constraint left with one unknown edge
   pins that edge.  The pinning constraints are triangular on the edges they
   pin, so they are independent and rank Q >= cols - |F|.
-* upper, by the kernel: Q [R; Z]^T = 0, summed exactly over the sparse
-  columns without forming Q, gives rank Q <= cols - rank [R; Z].
+* upper, by counting the kernel: every constraint is two paths between the
+  same ends whose opposite legs are the same move (class and signed step).
+  So every difference of vertex potentials and every function of an edge's
+  (class, step) solves it; R's and Z's rows are among them.  These span
+  N - 1 + sum_i (E_i - n_i) dimensions, where E_i is the edge count of the
+  one-axis shape (n_i,) with the same l: rank [V; W] = rank V + rank(W K)
+  for V the incidence rows, W the (class, step) indicators and K a basis of
+  the cycle space (Biggs, Algebraic Graph Theory, 2nd ed., 1993), and the
+  fundamental cycles on the axis lines through the origin reduce W K to one
+  line graph per axis.  So rank Q <= cols - that count.
 
 When they meet, the pinning constraints have Q's kernel: they are an
-explicit minimal set of constraints that ensure the commutation.  The
-fraction-free elimination integer_rank computes rank R and rank [R; Z];
+explicit minimal set of constraints that ensure the commutation.  Rank R is
+certified the same way, between rows - 1 (the vertex rows sum to zero) and
+N - 1 + sum_i (rank R_i - n_i), R_i the R of the one-axis shape (n_i,).
+The fraction-free elimination integer_rank computes those one-axis ranks;
 build_Q and build_R give the labelled dense matrices for dumps and serve,
 with integer_rank, as the oracles of the certificate.
 """
@@ -39,7 +49,8 @@ import numpy as np
 
 from .commute import constraint_columns, pair_constraints
 from .errors import GbdpError
-from .lattice import edge_pairs, edge_table, grid_states, require_equal_bounds
+from .lattice import (GridShape, edge_pairs, edge_table, grid_states,
+                      require_equal_bounds)
 from .param import edge_classes
 
 
@@ -95,8 +106,9 @@ def build_Q(shape):
     return IntMatrix(entries, labels, edges)
 
 
-def _parameter_rows(shape):
-    """R's entries as int8: vertex rows (lattice order), then class rows."""
+def build_R(shape):
+    """Parameter matrix: vertex rows (lattice order) then class rows."""
+    require_equal_bounds(shape, "parameter matrix")
     t = edge_table(shape)
     cols = np.arange(len(t.src))
     entries = np.zeros((shape.n_states + len(t.classes), len(cols)),
@@ -104,15 +116,9 @@ def _parameter_rows(shape):
     entries[t.src, cols] = 1
     entries[t.dst, cols] = -1
     entries[shape.n_states + t.cls, cols] = 1
-    return entries
-
-
-def build_R(shape):
-    """Parameter matrix: vertex rows (lattice order) then class rows."""
-    require_equal_bounds(shape, "parameter matrix")
     labels = ([("alpha", u) for u in grid_states(shape)]
               + [("gamma", c) for c in edge_classes(shape)])
-    return IntMatrix(_parameter_rows(shape), labels, edge_pairs(shape))
+    return IntMatrix(entries, labels, edge_pairs(shape))
 
 
 def integer_rank(m):
@@ -123,15 +129,10 @@ def integer_rank(m):
     result divided by its gcd; no floating point is involved anywhere.
     """
     entries = m.entries if isinstance(m, IntMatrix) else np.asarray(m)
-    return sum(_raises_rank(entries)) if entries.size else 0
-
-
-def _raises_rank(entries):
-    """For each row in order, whether it is independent of the rows before
-    it, so the running count is the rank of every leading block of rows."""
     pivots = {}
     for raw in entries:
-        row = {j: int(v) for j, v in enumerate(raw) if v}
+        nonzero = np.flatnonzero(raw)
+        row = dict(zip(nonzero.tolist(), map(int, raw[nonzero].tolist())))
         while row:
             lead = min(row)
             if lead not in pivots:
@@ -143,7 +144,7 @@ def _raises_rank(entries):
             for j, v in pivot.items():
                 merged[j] = merged.get(j, 0) - a * v
             row = _gcd_normalized({j: v for j, v in merged.items() if v})
-        yield bool(row)
+    return len(pivots)
 
 
 def _gcd_normalized(row):
@@ -194,39 +195,6 @@ def order_formula_Q(shape):
     return rows, cols
 
 
-def line_cycle_kernel(shape):
-    """Z as int8: one row per edge class of jump size x >= 2, in class
-    order (axis, x, offset r), one column per edge.
-
-    The row of class (i, r, x) is the flow around the cycle that the jump
-    r -> r + x closes with the x unit steps it spans on the line graph of
-    axis i, at every perpendicular position: +1 on the jump, -1 on each
-    forward unit step from r to r + x, and the negatives on the reverse
-    edges.
-    """
-    require_equal_bounds(shape, "line cycle kernel")
-    t = edge_table(shape)
-    offset, size = t.classes[:, 1], t.classes[:, 2]
-    cycle = np.cumsum(size >= 2) - 1  # Z row of each class of size >= 2
-    z = np.zeros((np.count_nonzero(size >= 2), len(t.src)), dtype=np.int8)
-    sign = np.sign(t.step)
-    jump = np.flatnonzero(size[t.cls] >= 2)
-    z[cycle[t.cls[jump]], jump] = sign[jump]
-    unit = np.flatnonzero(size[t.cls] == 1)
-    axis, k = t.direction[unit], offset[t.cls[unit]]
-    room = np.array(shape.dims)[axis - 1]
-    # the first class of (axis, x): classes run by axis, size, offset
-    first = np.zeros((shape.q + 1, shape.l1 + 1), dtype=int)
-    first[t.classes[offset == 0, 0], size[offset == 0]] = np.flatnonzero(
-        offset == 0)
-    for x in range(2, shape.l1 + 1):
-        for back in range(x):  # unit step k lies in cycle r = k - back
-            r = k - back
-            on = (r >= 0) & (r + x <= room)
-            z[cycle[first[axis[on], x] + r[on]], unit[on]] = -sign[unit[on]]
-    return z
-
-
 def _propagate(cols, n_cols):
     """(F, pinning constraints) of the constraints with edge columns `cols`.
 
@@ -265,32 +233,15 @@ def _propagate(cols, n_cols):
     return np.array(free, dtype=int), np.sort(np.array(pins, dtype=int))
 
 
-def _annihilates(cols, m):
-    """Whether Q m^T = 0, for Q the constraints with edge columns `cols`.
-
-    Sums the signed nonzeros of each constraint's four columns of m by
-    (constraint, row) key; the sums are of small integers, so exact.
-    """
-    col, row = np.nonzero(m.T)  # sorted by column
-    val = m[row, col].astype(np.int64)
-    start = np.searchsorted(col, np.arange(m.shape[1] + 1))
-    edge = cols.ravel()
-    count = start[edge + 1] - start[edge]
-    at = (np.repeat(start[edge] - np.cumsum(count) + count, count)
-          + np.arange(count.sum()))
-    constraint = np.repeat(np.tile(np.arange(cols.shape[1]), 4), count)
-    sign = np.repeat(np.repeat([1, 1, -1, -1], cols.shape[1]), count)
-    _, key = np.unique(constraint * m.shape[0] + row[at], return_inverse=True)
-    return not np.bincount(key, weights=sign * val[at]).any()
-
-
 class RankCertificate(NamedTuple):
     """Certified ranks of Q and R for one shape.
 
     free is F, the edge columns propagation leaves free; basis holds the
     rows of Q (pair-major, pair_constraints order within a pair) that pin
     every other column.  Both ascending.  The basis rows are independent
-    and have Q's kernel; len(basis) = rank_Q and |F| = rank [R; Z].
+    and have Q's kernel; len(basis) = rank_Q and |F| = N - 1 + sum_i (E_i -
+    n_i), the dimension of the kernel that the vertex potentials and the
+    functions of an edge's (class, step) span.
     """
 
     rows: int  # constraints: Q's row count
@@ -302,23 +253,49 @@ class RankCertificate(NamedTuple):
     basis: np.ndarray
 
 
+def _repeats_its_legs(t, cols):
+    """Whether each constraint is two paths between the same ends whose
+    opposite legs (left1 and right2, left2 and right1) are the same move."""
+    left1, left2, right1, right2 = cols
+
+    def same_move(a, b):
+        return (t.cls[a] == t.cls[b]) & (t.step[a] == t.step[b])
+
+    return ((t.src[left1] == t.src[right1]) & (t.dst[left1] == t.src[left2])
+            & (t.dst[right1] == t.src[right2])
+            & (t.dst[left2] == t.dst[right2])
+            & same_move(left1, right2) & same_move(left2, right1))
+
+
 def certified_ranks(shape):
-    """Rank Q and rank R, rank Q certified by propagation against the
-    kernel [R; Z] without forming Q.  GbdpError if the bounds disagree."""
+    """Rank Q and rank R, each certified by two bounds that meet, without
+    forming Q, R or Z of the shape.  GbdpError if the bounds disagree."""
     require_equal_bounds(shape, "rank certificate")
+    t = edge_table(shape)
     cols = _constraint_columns(shape)
-    n_cols = len(edge_table(shape).src)
+    bad = np.flatnonzero(~_repeats_its_legs(t, cols))
+    if bad.size:
+        raise GbdpError(
+            "rank of Q not certified: constraint %d is not two paths between "
+            "the same ends with opposite legs the same move" % bad[0])
+    n_cols = len(t.src)
     free, basis = _propagate(cols, n_cols)
-    r = _parameter_rows(shape)
-    rz = np.vstack([r, line_cycle_kernel(shape)])
-    if not _annihilates(cols, rz):
-        raise GbdpError("rank of Q not certified: Q [R; Z]^T is not zero")
-    independent = list(_raises_rank(rz))  # R's rows lead: one elimination
-    rank_rz = sum(independent)
-    if rank_rz != len(free):
+    l = shape.l1
+    # 2 sum_x (n - x + 1) is E_i, the edge count of the one-axis shape (n,)
+    kernel = shape.n_states - 1 + sum(
+        2 * sum(n - x + 1 for x in range(1, l + 1)) - n for n in shape.dims)
+    if kernel != len(free):
         raise GbdpError(
             "rank of Q not certified: propagation gives rank Q >= %d, the "
-            "kernel [R; Z] gives rank Q <= %d"
-            % (n_cols - len(free), n_cols - rank_rz))
-    return RankCertificate(cols.shape[1], n_cols, len(r), len(basis),
-                           sum(independent[:len(r)]), free, basis)
+            "kernel count gives rank Q <= %d"
+            % (n_cols - len(free), n_cols - kernel))
+    params = shape.n_states + len(t.classes)
+    line_rank = {n: integer_rank(build_R(GridShape((n,), l, l)))
+                 for n in set(shape.dims)}
+    rank_R = shape.n_states - 1 + sum(line_rank[n] - n for n in shape.dims)
+    if rank_R != params - 1:
+        raise GbdpError(
+            "rank of R not certified: the axis lines give rank R >= %d, the "
+            "vertex rows give rank R <= %d" % (rank_R, params - 1))
+    return RankCertificate(cols.shape[1], n_cols, params, len(basis), rank_R,
+                           free, basis)

@@ -2,9 +2,9 @@
 
 Subcommands: check-commute, kstep, ranks, normalize, simulate.  Exit codes
 are a stable contract: 0 = success / affirmative verdict, 1 = negative
-verdict, 2 = input or configuration error.  The commutation tolerance
-defaults to 1e-12; --tol overrides it.  All tables are CSV, all numbers
-full double precision.
+verdict, 2 = input or configuration error, or out of memory.  The
+commutation tolerance defaults to 1e-12; --tol overrides it.  All tables
+are CSV, all numbers full double precision.
 """
 
 import argparse
@@ -107,7 +107,8 @@ def cmd_ranks(args):
     formula_q = rank_formula_Q(shape)
     formula_r = rank_formula_R(shape)
     complement = cert.rank_Q + cert.rank_R == cert.cols
-    # certified_ranks returns only once Q [R; Z]^T = 0 is checked
+    # certified_ranks returns only once every constraint is checked to be
+    # two paths that repeat their legs, which makes Q R^T = 0
     print(
         "Q: %dx%d rank %d (formula %d); R: %dx%d rank %d (formula %d); "
         "QR^T=0: yes; rank Q + rank R = columns: %s"
@@ -220,6 +221,9 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
         return 2
 
 

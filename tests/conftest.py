@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gbdp import GridShape, Parametrization, build_grid, build_model, edge_classes
+from gbdp import algebra
 from gbdp.lattice import edge_table
 from gbdp.param import EdgeClass
 
@@ -102,8 +103,8 @@ def line_cycle_kernel(shape, col_labels):
     columns of build_Q / build_R.  A constraint uses its edge along each
     axis once on each side, with the same source and target coordinate on
     that axis, so any function of (axis, line source, line target) solves
-    it: Q Z^T = 0, and rank Q <= cols - rank [R; Z].  This loop form is
-    the oracle of the vectorized algebra.line_cycle_kernel.
+    it: Q Z^T = 0, and rank Q <= cols - rank [R; Z].  With R, it is the
+    oracle of the kernel count that algebra.certified_ranks uses instead.
     """
     cycles = [
         (i, _cycle_flow(r, x))
@@ -118,3 +119,10 @@ def line_cycle_kernel(shape, col_labels):
             if i == axis:
                 z[row, k] = flow.get((u[axis], v[axis]), 0)
     return z
+
+
+def one_more_free(cols, n_cols, propagate=algebra._propagate):
+    """algebra._propagate with a free set one column larger than the kernel
+    count, so that the rank bounds of certified_ranks disagree."""
+    free, basis = propagate(cols, n_cols)
+    return np.append(free, n_cols), basis

@@ -19,13 +19,13 @@ from gbdp import (
     recover_params,
 )
 from gbdp import algebra
-from gbdp.algebra import line_cycle_kernel
 from gbdp.commute import DEFAULT_TOL, Constraint
 from gbdp.errors import ConsistencyError, GbdpError, UnsupportedConfigError
-from gbdp.lattice import edge_pairs
+from gbdp.lattice import edge_columns, edge_pairs, edge_table
 from gbdp.param import EdgeClass
 import conftest
-from conftest import EXP_SHAPE, grid_laplacian, line_cycle_count
+from conftest import (EXP_SHAPE, grid_laplacian, line_cycle_count,
+                      one_more_free)
 
 SWEEP = [
     GridShape((3,), 1, 1),
@@ -185,7 +185,7 @@ def test_single_direction_grid_has_no_constraints():
 def test_unequal_jump_bounds_are_refused():
     shape = GridShape((2, 2), 2, 1)
     for fn in (build_Q, build_R, rank_formula_Q, rank_formula_R,
-               order_formula_Q, certified_ranks, line_cycle_kernel):
+               order_formula_Q, certified_ranks):
         with pytest.raises(UnsupportedConfigError, match="equal jump bounds"):
             fn(shape)
 
@@ -206,10 +206,28 @@ def test_certified_ranks_equal_the_exact_elimination(shape):
 
 
 @pytest.mark.parametrize("shape", SWEEP)
-def test_vectorized_cycle_kernel_matches_the_oracle(shape):
-    z = line_cycle_kernel(shape)
-    assert np.array_equal(z, conftest.line_cycle_kernel(shape,
-                                                        edge_pairs(shape)))
+def test_potentials_and_functions_of_the_move_solve_every_constraint(shape,
+                                                                     rng):
+    # the lemma behind the kernel count of certified_ranks
+    t = edge_table(shape)
+    q = build_Q(shape).entries
+    f = rng.integers(-3, 4, size=(len(t.classes), 2))
+    assert not (q @ f[t.cls, (t.step > 0).astype(int)]).any()
+    phi = rng.integers(-3, 4, size=shape.n_states)
+    assert not (q @ (phi[t.src] - phi[t.dst])).any()
+
+
+@pytest.mark.parametrize("dims, l, rank_q, free, rank_r", [
+    ((9, 9, 9), 2, 9126, 1074, 1050),
+    ((31, 31), 4, 13671, 1433, 1259),
+])
+def test_certificates_of_the_benchmark_shapes(dims, l, rank_q, free, rank_r):
+    # the ranks that a full elimination of [R; Z] gave on these shapes
+    shape = GridShape(dims, l, l)
+    cert = certified_ranks(shape)
+    assert (cert.rank_Q, len(cert.free), cert.rank_R) == (rank_q, free,
+                                                          rank_r)
+    assert cert.rank_Q == rank_formula_Q(shape) - line_cycle_count(shape)
 
 
 def solve_basis(q, cert, y_free):
@@ -252,16 +270,37 @@ def test_a_propagated_model_commutes_but_has_no_parametrization(rng):
 
 
 def test_disagreeing_bounds_are_an_error(monkeypatch):
-    z = line_cycle_kernel(EXP_SHAPE)
-    monkeypatch.setattr(algebra, "line_cycle_kernel", lambda shape: z[1:])
-    with pytest.raises(GbdpError, match="rank Q >= 20, the kernel .* "
-                                        "rank Q <= 21"):
-        certified_ranks(EXP_SHAPE)
-    unit = np.zeros_like(z[:1])
-    unit[0, 0] = 1
-    monkeypatch.setattr(algebra, "line_cycle_kernel",
-                        lambda shape: np.vstack([z, unit]))
-    with pytest.raises(GbdpError, match=r"Q \[R; Z\]\^T is not zero"):
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_propagate", one_more_free)
+        with pytest.raises(GbdpError, match="rank Q >= 19, the kernel .* "
+                                            "rank Q <= 20"):
+            certified_ranks(EXP_SHAPE)
+    shape = GridShape((3, 2), 2, 2)
+    real = algebra._constraint_columns(shape)
+    cols = real.copy()
+    monkeypatch.setattr(algebra, "_constraint_columns", lambda shape: cols)
+    # the same moves in opposite order, but the right path starts at (2, 0)
+    cols[:, 5] = edge_columns(shape, [((0, 0), (1, 0)), ((1, 0), (1, 1)),
+                                      ((2, 0), (2, 1)), ((0, 1), (1, 1))])
+    with pytest.raises(GbdpError, match="constraint 5 is not two paths "
+                                        "between the same ends"):
+        certified_ranks(shape)
+    # two paths from (1, 0) to (2, 0), by +2 then -1 and by -1 then +2:
+    # the ends agree, but the two +2 jumps lie in different classes
+    cols[:, 5] = real[:, 5]
+    cols[:, 7] = edge_columns(shape, [((1, 0), (3, 0)), ((3, 0), (2, 0)),
+                                      ((1, 0), (0, 0)), ((0, 0), (2, 0))])
+    with pytest.raises(GbdpError, match="constraint 7 is not two paths "
+                                        "between the same ends"):
+        certified_ranks(shape)
+
+
+def test_an_uncertified_rank_R_is_an_error(monkeypatch):
+    rank = algebra.integer_rank
+    monkeypatch.setattr(algebra, "integer_rank", lambda m: rank(m) - 1)
+    with pytest.raises(GbdpError, match="rank of R not certified: the axis "
+                                        "lines give rank R >= 12, the vertex "
+                                        "rows give rank R <= 14"):
         certified_ranks(EXP_SHAPE)
 
 

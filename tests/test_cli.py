@@ -20,9 +20,9 @@ from gbdp import (
     save_model,
     save_params,
 )
-from gbdp import algebra
+from gbdp import algebra, cli
 from gbdp.cli import main
-from conftest import EXP_SHAPE, make_parametrization
+from conftest import EXP_SHAPE, make_parametrization, one_more_free
 
 
 @pytest.fixture
@@ -124,6 +124,20 @@ def test_kstep_zero_is_the_identity(stoch_params, tmp_path):
     assert np.abs(read_matrix_csv(out) - np.eye(9)).max() <= 1e-12
 
 
+def test_out_of_memory_is_exit_2(stoch_params, monkeypatch, capsys):
+    _, path = stoch_params
+
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 80.3 GiB for an array")
+
+    monkeypatch.setattr(cli, "k_step_with_self", refuse)
+    assert main(["kstep", "--params", path, "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: Unable to allocate "
+                            "80.3 GiB for an array\n")
+
+
 def test_kstep_writes_the_same_bytes_to_out_and_to_stdout(stoch_params,
                                                           tmp_path):
     _, path = stoch_params
@@ -222,8 +236,7 @@ def test_ranks_input_errors(capsys):
 
 
 def test_ranks_exits_2_when_the_rank_is_not_certified(monkeypatch, capsys):
-    z = algebra.line_cycle_kernel(EXP_SHAPE)
-    monkeypatch.setattr(algebra, "line_cycle_kernel", lambda shape: z[1:])
+    monkeypatch.setattr(algebra, "_propagate", one_more_free)
     assert main(["ranks", "--dims", "2,2", "--l", "2"]) == 2
     assert "rank of Q not certified" in capsys.readouterr().err
 
