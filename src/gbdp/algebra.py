@@ -32,16 +32,16 @@ must meet:
   line graph per axis.  So rank Q <= cols - that count.
 
 When they meet, the pinning constraints have Q's kernel: they are an
-explicit minimal set of constraints that ensure the commutation.  Rank R is
-certified the same way, between rows - 1 (the vertex rows sum to zero) and
-N - 1 + sum_i (rank R_i - n_i), R_i the R of the one-axis shape (n_i,).
-The fraction-free elimination integer_rank computes those one-axis ranks;
-build_Q and build_R give the labelled dense matrices for dumps and serve,
-with integer_rank, as the oracles of the certificate.
+explicit minimal set of constraints that ensure the commutation.  If every
+edge's reverse is an edge of its class and every class has an edge, each
+class has a 2-cycle on which the vertex rows vanish, so by the same identity
+rank R = N - 1 + #classes = rows - 1.  nonzeros_Q and nonzeros_R give Q and
+R for dumps; build_Q, build_R and integer_rank are oracles.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -49,8 +49,7 @@ import numpy as np
 
 from .commute import constraint_columns, pair_constraints
 from .errors import GbdpError
-from .lattice import (GridShape, edge_pairs, edge_table, grid_states,
-                      require_equal_bounds)
+from .lattice import edge_pairs, edge_table, grid_states, require_equal_bounds
 from .param import edge_classes
 
 
@@ -78,47 +77,62 @@ class IntMatrix:
         return self.entries.shape[1]
 
 
-def _direction_pairs(shape):
-    return [(i, j) for i in range(1, shape.q + 1)
-            for j in range(i + 1, shape.q + 1)]
-
-
 def _constraint_columns(shape):
     """Edge columns (left1, left2, right1, right2) of every constraint as a
     (4, constraints) array, pair-major: Q's rows in order."""
     return np.hstack([np.stack(constraint_columns(shape, i, j))
-                      for i, j in _direction_pairs(shape)]
+                      for i, j in combinations(range(1, shape.q + 1), 2)]
                      or [np.zeros((4, 0), dtype=np.int64)])
 
 
-def build_Q(shape):
-    """Constraint matrix: rows ordered by direction pair (i < j), then by
+# the nonzero entries of a labelled integer matrix, in row-major order
+Nonzeros = namedtuple("Nonzeros", "row col value row_labels col_labels")
+
+
+def _row_major(row, col, value, row_labels, col_labels):
+    order = np.lexsort((col, row))
+    return Nonzeros(row[order], col[order], value[order], row_labels,
+                    col_labels)
+
+
+def nonzeros_Q(shape):
+    """Constraint matrix Q: rows ordered by direction pair (i < j), then by
     the constraint order of the commute module."""
     require_equal_bounds(shape, "constraint matrix")
     cols = _constraint_columns(shape)
-    edges = edge_pairs(shape)
-    entries = np.zeros((cols.shape[1], len(edges)), dtype=np.int64)
-    rows = np.arange(cols.shape[1])
-    entries[rows, cols[0]] = entries[rows, cols[1]] = 1
-    entries[rows, cols[2]] = entries[rows, cols[3]] = -1
-    labels = [c for i, j in _direction_pairs(shape)
+    n = cols.shape[1]
+    labels = [c for i, j in combinations(range(1, shape.q + 1), 2)
               for c in pair_constraints(shape, i, j)]
-    return IntMatrix(entries, labels, edges)
+    return _row_major(np.tile(np.arange(n), 4), cols.ravel(),
+                      np.repeat([1, 1, -1, -1], n), labels, edge_pairs(shape))
+
+
+def nonzeros_R(shape):
+    """Parameter matrix R: vertex rows (lattice order) then class rows."""
+    require_equal_bounds(shape, "parameter matrix")
+    t = edge_table(shape)
+    n = len(t.src)
+    labels = ([("alpha", u) for u in grid_states(shape)]
+              + [("gamma", c) for c in edge_classes(shape)])
+    return _row_major(np.concatenate([t.src, t.dst, shape.n_states + t.cls]),
+                      np.tile(np.arange(n), 3), np.repeat([1, -1, 1], n),
+                      labels, edge_pairs(shape))
+
+
+def _dense(m):
+    entries = np.zeros((len(m.row_labels), len(m.col_labels)), dtype=np.int64)
+    entries[m.row, m.col] = m.value
+    return IntMatrix(entries, m.row_labels, m.col_labels)
+
+
+def build_Q(shape):
+    """Q as a dense IntMatrix, for tests and demos."""
+    return _dense(nonzeros_Q(shape))
 
 
 def build_R(shape):
-    """Parameter matrix: vertex rows (lattice order) then class rows."""
-    require_equal_bounds(shape, "parameter matrix")
-    t = edge_table(shape)
-    cols = np.arange(len(t.src))
-    entries = np.zeros((shape.n_states + len(t.classes), len(cols)),
-                       dtype=np.int8)
-    entries[t.src, cols] = 1
-    entries[t.dst, cols] = -1
-    entries[shape.n_states + t.cls, cols] = 1
-    labels = ([("alpha", u) for u in grid_states(shape)]
-              + [("gamma", c) for c in edge_classes(shape)])
-    return IntMatrix(entries, labels, edge_pairs(shape))
+    """R as a dense IntMatrix, for tests and demos."""
+    return _dense(nonzeros_R(shape))
 
 
 def integer_rank(m):
@@ -241,7 +255,7 @@ class RankCertificate(NamedTuple):
     every other column.  Both ascending.  The basis rows are independent
     and have Q's kernel; len(basis) = rank_Q and |F| = N - 1 + sum_i (E_i -
     n_i), the dimension of the kernel that the vertex potentials and the
-    functions of an edge's (class, step) span.
+    functions of an edge's (class, step) span; rank_R = params - 1.
     """
 
     rows: int  # constraints: Q's row count
@@ -290,12 +304,13 @@ def certified_ranks(shape):
             "kernel count gives rank Q <= %d"
             % (n_cols - len(free), n_cols - kernel))
     params = shape.n_states + len(t.classes)
-    line_rank = {n: integer_rank(build_R(GridShape((n,), l, l)))
-                 for n in set(shape.dims)}
-    rank_R = shape.n_states - 1 + sum(line_rank[n] - n for n in shape.dims)
-    if rank_R != params - 1:
+    # an edge and its reverse form a 2-cycle that only their class row sees
+    rev = t.reverse
+    lonely = (rev < 0) | (t.src[rev] != t.dst) | (t.cls[rev] != t.cls)
+    empty = np.bincount(t.cls, minlength=len(t.classes)) == 0
+    if lonely.any() or empty.any():
         raise GbdpError(
-            "rank of R not certified: the axis lines give rank R >= %d, the "
-            "vertex rows give rank R <= %d" % (rank_R, params - 1))
-    return RankCertificate(cols.shape[1], n_cols, params, len(basis), rank_R,
-                           free, basis)
+            "rank of R not certified: %d edges have no reverse in their "
+            "class, %d classes have no edge" % (lonely.sum(), empty.sum()))
+    return RankCertificate(cols.shape[1], n_cols, params, len(basis),
+                           params - 1, free, basis)

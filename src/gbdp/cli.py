@@ -12,8 +12,8 @@ import math
 import sys
 
 from . import commute, fileio
-from .algebra import (build_Q, build_R, certified_ranks, rank_formula_Q,
-                      rank_formula_R)
+from .algebra import (certified_ranks, nonzeros_Q, nonzeros_R,
+                      rank_formula_Q, rank_formula_R)
 from .errors import GbdpError
 from .lattice import GridShape, build_grid
 from .model import check_self_mass, full_matrix, row_mass
@@ -119,7 +119,7 @@ def cmd_ranks(args):
         )
     )
     if args.dump:
-        for m, tag in ((build_Q(shape), ".Q"), (build_R(shape), ".R")):
+        for m, tag in ((nonzeros_Q(shape), ".Q"), (nonzeros_R(shape), ".R")):
             paths = fileio.dump_int_matrix(m, args.dump + tag)
             print("wrote " + ", ".join(paths))
     ok = complement and (cert.rank_Q, cert.rank_R) == (formula_q, formula_r)

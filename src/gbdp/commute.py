@@ -28,8 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
-from .lattice import edge_table, grid_states, is_integer, move_slot, shifted
+from .lattice import edge_table, grid_states, move_slot, shifted
 from .model import directional_matrix
 
 # probabilities are O(1) so products are O(1); absolute tolerance
@@ -62,12 +61,7 @@ def constraint_edges(c):
 def constraint_columns(shape, i, j):
     """Edge columns (left1, left2, right1, right2) of the constraints of
     the direction pair (i, j), one array each, in pair_constraints order."""
-    if i == j:
-        raise DomainError("self-commutation of direction %d is vacuous" % i)
-    if not all(is_integer(d) and 1 <= d <= shape.q for d in (i, j)):
-        raise DomainError(
-            "direction pair (%s, %s) outside 1..%d" % (i, j, shape.q)
-        )
+    shape.check_directions(i, j)
     t = edge_table(shape)
     lmax = max(shape.l1, shape.l2)
     # lookup slots of (step_i, step_j): by family (signs), then by sizes
@@ -111,8 +105,7 @@ def constraint_residuals(model, i, j):
 
 def commutes_direct(model, i, j, tol=DEFAULT_TOL):
     """(bool, max residual) for max-abs(P_i P_j - P_j P_i) <= tol."""
-    if i == j:
-        raise DomainError("self-commutation of direction %d is vacuous" % i)
+    model.shape.check_directions(i, j)
     pi = directional_matrix(model, i)
     pj = directional_matrix(model, j)
     residual = float(np.abs(pi @ pj - pj @ pi).max())

@@ -294,20 +294,15 @@ def write_frequency_csv(f, freqs, trials):
 def dump_int_matrix(m, prefix):
     """Sparse triplet dump `row col value` plus legend sidecars.
 
-    Writes prefix.txt, prefix.rows.txt and prefix.cols.txt; returns the
-    three paths.
+    m is an algebra.Nonzeros.  Writes prefix.txt, prefix.rows.txt and
+    prefix.cols.txt; returns the three paths.
     """
-    triplet_path = prefix + ".txt"
-    rows_path = prefix + ".rows.txt"
-    cols_path = prefix + ".cols.txt"
-    with open(triplet_path, "w") as f:
-        nz = m.entries.nonzero()
-        for r, c in zip(*nz):
-            f.write("%d %d %d\n" % (r, c, m.entries[r, c]))
-    with open(rows_path, "w") as f:
-        for label in m.row_labels:
-            f.write("%s\n" % (label,))
-    with open(cols_path, "w") as f:
-        for label in m.col_labels:
-            f.write("%s\n" % (label,))
-    return triplet_path, rows_path, cols_path
+    paths = prefix + ".txt", prefix + ".rows.txt", prefix + ".cols.txt"
+    lines = (map("%d %d %d\n".__mod__, zip(m.row.tolist(), m.col.tolist(),
+                                            m.value.tolist())),
+             ("%s\n" % (label,) for label in m.row_labels),
+             ("%s\n" % (label,) for label in m.col_labels))
+    for path, text in zip(paths, lines):
+        with open(path, "w") as f:
+            f.writelines(text)
+    return paths

@@ -67,6 +67,14 @@ class GridShape:
     def n_states(self):
         return math.prod(n + 1 for n in self.dims)
 
+    def check_directions(self, i, j=None):
+        """DomainError unless i (and j) are directions 1..q, and i != j."""
+        for d in (i,) if j is None else (i, j):
+            if not (is_integer(d) and 1 <= d <= self.q):
+                raise DomainError("direction %s outside 1..%d" % (d, self.q))
+        if i == j:
+            raise DomainError("direction %d paired with itself is vacuous" % i)
+
 
 def validate_shape(shape):
     """Raise ShapeError naming the violated invariant, if any."""

@@ -27,7 +27,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError
-from .lattice import edge_columns, edge_table, grid_states, in_grid, is_integer
+from .lattice import edge_columns, edge_table, grid_states, in_grid
 
 # absolute tolerance for the "row sum = 1" check; all arithmetic is double
 # precision and grids are small
@@ -159,8 +159,7 @@ def directional_matrix(model, i):
     Keys that are not legal grid edges (a validation violation) are skipped.
     """
     shape = model.shape
-    if not (is_integer(i) and 1 <= i <= shape.q):
-        raise DomainError("direction %s outside 1..%d" % (i, shape.q))
+    shape.check_directions(i)
     t = edge_table(shape)
     out = np.zeros((shape.n_states, shape.n_states))
     out[t.src, t.dst] = np.where(t.direction == i, model.edge_prob, 0.0)

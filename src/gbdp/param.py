@@ -22,6 +22,7 @@ ConsistencyError for commuting models outside the parametrized family.
 Parameters are determined up to one global constant.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,7 +54,8 @@ def edge_classes(shape):
 
 @dataclass
 class Parametrization:
-    """alpha: state -> positive weight; gamma: EdgeClass -> non-negative weight.
+    """alpha: state -> finite positive weight; gamma: EdgeClass -> finite
+    non-negative weight.
 
     A zero gamma drops the edges of that class from generated models (such
     models may fail irreducibility checks downstream); strictly positive
@@ -71,9 +73,9 @@ class Parametrization:
         for u in states:
             if u not in self.alpha:
                 raise DomainError("alpha missing entry for state %s" % (u,))
-            if self.alpha[u] <= 0.0:
+            if not 0.0 < self.alpha[u] < math.inf:
                 raise PositivityError(
-                    "alpha at %s must be strictly positive (got %r)"
+                    "alpha at %s must be strictly positive and finite (got %r)"
                     % (u, self.alpha[u])
                 )
         if len(self.alpha) != len(states):
@@ -90,10 +92,10 @@ class Parametrization:
                 "(missing %s, extra %s)" % (missing, extra)
             )
         for c, g in self.gamma.items():
-            if g < 0.0:
+            if not 0.0 <= g < math.inf:
                 raise PositivityError(
-                    "gamma for class %s must be non-negative (got %r)" % (c, g)
-                )
+                    "gamma for class %s must be non-negative and finite "
+                    "(got %r)" % (c, g))
 
 
 def build_model(p, self_prob=None, absorbing=False):

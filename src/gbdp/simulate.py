@@ -64,7 +64,22 @@ def philox_uniforms(seed, first, count, block):
 
 
 def _require_samplable(model):
+    t, p = edge_table(model.shape), model.edge_prob
+
+    def state(k):
+        return tuple(t.coords[k].tolist())
+
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))  # NaN fails both
+    if bad.size:
+        k = bad[0]
+        raise DomainError(
+            "cannot sample: probability %r on edge %s->%s outside [0, 1]"
+            % (float(p[k]), state(t.src[k]), state(t.dst[k])))
     mass = row_mass(model)
+    bad = np.flatnonzero(~np.isfinite(mass))
+    if bad.size:
+        raise DomainError("cannot sample: row mass %r at %s is not finite"
+                          % (float(mass[bad[0]]), state(bad[0])))
     bad_hi = float(mass.max())
     if bad_hi > 1.0 + ROW_SUM_TOL:
         raise DomainError(

@@ -62,8 +62,7 @@ def block_decompose(p):
 def direction_operator(decomp, i):
     """Full-size A(i), dense N x N, for the oracles in tests and demos."""
     shape = decomp.shape
-    if not (is_integer(i) and 1 <= i <= shape.q):
-        raise DomainError("direction %s outside 1..%d" % (i, shape.q))
+    shape.check_directions(i)
     factors = [np.eye(n + 1) for n in shape.dims]
     factors[i - 1] = decomp.blocks[i - 1]
     return reduce(np.kron, factors)

@@ -296,11 +296,22 @@ def test_disagreeing_bounds_are_an_error(monkeypatch):
 
 
 def test_an_uncertified_rank_R_is_an_error(monkeypatch):
-    rank = algebra.integer_rank
-    monkeypatch.setattr(algebra, "integer_rank", lambda m: rank(m) - 1)
-    with pytest.raises(GbdpError, match="rank of R not certified: the axis "
-                                        "lines give rank R >= 12, the vertex "
-                                        "rows give rank R <= 14"):
+    t = edge_table(EXP_SHAPE)
+    # no 2-cycle closes: the reverse of each edge is the next column, the
+    # edge itself (same class, wrong source) or missing
+    for reverse in (np.roll(t.reverse, 1), np.arange(36), np.full(36, -1)):
+        monkeypatch.setattr(algebra, "edge_table", lambda shape: t._replace(
+            reverse=reverse))
+        with pytest.raises(GbdpError, match="rank of R not certified: 36 "
+                                            "edges have no reverse in their "
+                                            "class, 0 classes have no edge"):
+            certified_ranks(EXP_SHAPE)
+    # one more class than the edges use
+    monkeypatch.setattr(algebra, "edge_table", lambda shape: t._replace(
+        classes=np.vstack([t.classes, t.classes[:1]])))
+    with pytest.raises(GbdpError, match="rank of R not certified: 0 edges "
+                                        "have no reverse in their class, 1 "
+                                        "classes have no edge"):
         certified_ranks(EXP_SHAPE)
 
 

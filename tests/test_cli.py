@@ -253,6 +253,33 @@ def test_ranks_dump_writes_triplets(tmp_path, capsys):
     assert len(q_lines) == 16  # 4 rows x 4 entries
 
 
+@pytest.mark.parametrize("dims", ["3,3", "2,2,2"])
+def test_ranks_dump_forms_no_dense_matrix(dims, tmp_path, monkeypatch,
+                                          capsys):
+    shape = GridShape(tuple(map(int, dims.split(","))), 2, 2)
+    oracles = {".Q": algebra.build_Q(shape), ".R": algebra.build_R(shape)}
+
+    def refuse(*args):
+        raise AssertionError("gbdp ranks formed or eliminated a dense matrix")
+
+    for name in ("build_Q", "build_R", "integer_rank"):
+        monkeypatch.setattr(algebra, name, refuse)
+    prefix = str(tmp_path / "m")
+    assert main(["ranks", "--dims", dims, "--l", "2", "--dump", prefix]) == 1
+    capsys.readouterr()
+    for tag, m in oracles.items():
+        rows, cols = m.entries.nonzero()
+        expected = {
+            ".txt": zip(rows, cols, m.entries[rows, cols]),
+            ".rows.txt": ((label,) for label in m.row_labels),
+            ".cols.txt": ((label,) for label in m.col_labels),
+        }
+        for suffix, lines in expected.items():
+            fmt = "%d %d %d\n" if suffix == ".txt" else "%s\n"
+            text = (tmp_path / ("m" + tag + suffix)).read_text()
+            assert text == "".join(fmt % line for line in lines)
+
+
 def test_normalize_writes_a_stochastic_parametrization(tmp_path, rng, capsys):
     p = make_parametrization(EXP_SHAPE, rng)
     src = tmp_path / "raw.json"

@@ -10,7 +10,6 @@ import pytest
 
 from gbdp import (
     GridShape,
-    IntMatrix,
     TransitionModel,
     build_grid,
     build_model,
@@ -20,6 +19,7 @@ from gbdp import (
     save_model,
     save_params,
 )
+from gbdp.algebra import Nonzeros
 from gbdp.errors import FormatError
 from gbdp.fileio import (
     dump_int_matrix,
@@ -269,7 +269,9 @@ def test_state_label_format():
 
 
 def test_int_matrix_triplet_dump(tmp_path):
-    m = IntMatrix(np.array([[0, 2], [-1, 0]]), ["r0", "r1"], ["c0", "c1"])
+    # the nonzeros of [[0, 2], [-1, 0]], row-major
+    m = Nonzeros(np.array([0, 1]), np.array([1, 0]), np.array([2, -1]),
+                 ["r0", "r1"], ["c0", "c1"])
     paths = dump_int_matrix(m, str(tmp_path / "mat"))
     triplets, rows, cols = (Path(p).read_text() for p in paths)
     assert triplets == "0 1 2\n1 0 -1\n"

@@ -221,6 +221,18 @@ def test_biased_cycle_has_no_balancing_measure():
         recover_params(model)
 
 
+def test_parametrization_refuses_non_finite_weights():
+    alpha = {u: 1.0 for u in build_grid(EXP_SHAPE).states}
+    gamma = {c: 1.0 for c in edge_classes(EXP_SHAPE)}
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(PositivityError, match="strictly positive and "
+                                                  "finite"):
+            Parametrization(EXP_SHAPE, {**alpha, (1, 1): x}, gamma)
+        with pytest.raises(PositivityError, match="non-negative and finite"):
+            Parametrization(EXP_SHAPE, alpha,
+                            {**gamma, EdgeClass(2, 0, 2): x})
+
+
 def test_parametrization_container_validates_its_tables():
     grid_states = build_grid(EXP_SHAPE).states
     alpha = {u: 1.0 for u in grid_states}

@@ -142,6 +142,18 @@ def test_sampling_guards():
     )
     with pytest.raises(DomainError, match="exceeds 1"):
         empirical_kstep(heavy, (0,), 1, 10, seed=0)
+    # each row sums to 1, so only the entry checks can refuse these
+    shape, nan = GridShape((2,), 2, 2), float("nan")
+    rows = {((0,), (1,)): 0.6, ((0,), (2,)): 0.4, ((1,), (0,)): 0.5,
+            ((1,), (2,)): 0.5, ((2,), (0,)): 0.3, ((2,), (1,)): 0.7}
+    for edit, self_prob, message in (
+            ({((0,), (1,)): 1.2, ((0,), (2,)): -0.2}, None,
+             r"probability 1.2 on edge \(0,\)->\(1,\) outside \[0, 1\]"),
+            ({((0,), (1,)): nan}, None, "probability nan on edge"),
+            ({}, {(0,): nan}, r"row mass nan at \(0,\) is not finite")):
+        model = TransitionModel(shape, {**rows, **edit}, self_prob)
+        with pytest.raises(DomainError, match="cannot sample: " + message):
+            empirical_kstep(model, (0,), 1, 10, seed=0)
     with pytest.raises(DomainError, match="trials must be positive"):
         empirical_kstep(CHAIN, (0,), 1, 0, seed=0)
     for trials in (2.5, 3.0, True, "10", None):
