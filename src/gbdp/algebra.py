@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .commute import constraint_columns, pair_constraints
+from .commute import constraint_columns, constraint_labels
 from .errors import GbdpError
 from .lattice import edge_pairs, edge_table, grid_states, require_equal_bounds
 from .param import edge_classes
@@ -101,10 +101,10 @@ def nonzeros_Q(shape):
     require_equal_bounds(shape, "constraint matrix")
     cols = _constraint_columns(shape)
     n = cols.shape[1]
-    labels = [c for i, j in combinations(range(1, shape.q + 1), 2)
-              for c in pair_constraints(shape, i, j)]
     return _row_major(np.tile(np.arange(n), 4), cols.ravel(),
-                      np.repeat([1, 1, -1, -1], n), labels, edge_pairs(shape))
+                      np.repeat([1, 1, -1, -1], n),
+                      constraint_labels(shape, cols[0], cols[2]),
+                      edge_pairs(shape))
 
 
 def nonzeros_R(shape):

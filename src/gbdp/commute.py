@@ -2,8 +2,12 @@
 
 Two routes are provided and kept deliberately independent:
 
-* commutes_direct multiplies the dense directional matrices and measures
-  max-abs(P_i P_j - P_j P_i);
+* commutes_direct measures max-abs(P_i P_j - P_j P_i) from a join of the
+  edge table with itself: every two-step path of an i-edge then a j-edge,
+  or a j-edge then an i-edge, grouped by its two ends.  It reads only the
+  edges' src, dst and direction, never the move lookup the constraints
+  use, and needs memory O(E l) for E edges, not O(N^2).  The join depends
+  only on the shape and the pair, so it is cached like the edge table;
 * constraint_residuals evaluates the bilinear two-step identities whose
   joint vanishing is equivalent to commutation.
 
@@ -24,12 +28,12 @@ probabilities, the four identities of a rectangle say that the jumps out of
 its two diagonals are proportional (a rank-1 2x4 matrix).
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import edge_table, grid_states, move_slot, shifted
-from .model import directional_matrix
 
 # probabilities are O(1) so products are O(1); absolute tolerance
 DEFAULT_TOL = 1e-12
@@ -76,37 +80,95 @@ def constraint_columns(shape, i, j):
     return left1, left2, right1, right2
 
 
+def constraint_labels(shape, left1, right1):
+    """The Constraint of each constraint whose first left and first right
+    edge columns are left1 and right1, as constraint_columns gives them;
+    pass a subset of the columns to label a subset of the constraints."""
+    t = edge_table(shape)
+    a, b = t.step[left1], t.step[right1]
+    family = 1 + 2 * (a < 0) + (b < 0)
+    bases = map(grid_states(shape).__getitem__, t.src[left1].tolist())
+    return list(map(Constraint._make, zip(
+        family.tolist(), t.direction[left1].tolist(),
+        t.direction[right1].tolist(), bases, a.tolist(), b.tolist())))
+
+
 def pair_constraints(shape, i, j):
     """All constraints for the direction pair (i, j), in a fixed order.
 
     Order: base state (lattice order), then family, then |step_i|, |step_j|.
     """
-    t = edge_table(shape)
-    states = grid_states(shape)
     left1, _, right1, _ = constraint_columns(shape, i, j)
-    return [
-        Constraint(1 + 2 * (a < 0) + (b < 0), i, j, states[s], a, b)
-        for s, a, b in zip(t.src[left1].tolist(), t.step[left1].tolist(),
-                           t.step[right1].tolist())
-    ]
+    return constraint_labels(shape, left1, right1)
 
 
-def constraint_residuals(model, i, j):
-    """(Constraint, residual) for every constraint of the pair (i, j).
+def pair_residuals(model, i, j):
+    """The residual of every constraint of the pair (i, j), as an array in
+    pair_constraints order.
 
     residual = left product - right product, with any absent edge
     contributing probability 0.
     """
     left1, left2, right1, right2 = constraint_columns(model.shape, i, j)
     p = model.edge_prob
-    res = p[left1] * p[left2] - p[right1] * p[right2]
-    return list(zip(pair_constraints(model.shape, i, j), res.tolist()))
+    return p[left1] * p[left2] - p[right1] * p[right2]
+
+
+def constraint_residuals(model, i, j):
+    """(Constraint, residual) for every constraint of the pair (i, j)."""
+    return list(zip(pair_constraints(model.shape, i, j),
+                    pair_residuals(model, i, j).tolist()))
+
+
+def _two_step_paths(t, first, second):
+    """(start, end, head, tail) of every path of a `first`-direction edge
+    column `head` followed by a `second`-direction edge column `tail`."""
+    a = np.flatnonzero(t.direction == first)
+    b = np.flatnonzero(t.direction == second)
+    # edge columns are in src order, so the b-edges out of state s are
+    # b[offset[s]:offset[s + 1]]
+    offset = np.concatenate(
+        ([0], np.cumsum(np.bincount(t.src[b], minlength=len(t.coords)))))
+    mid = t.dst[a]
+    count = offset[mid + 1] - offset[mid]
+    head = np.repeat(a, count)
+    # the k-th path of an a-edge takes the k-th b-edge out of its dst
+    shift = np.repeat(offset[mid] - np.cumsum(count) + count, count)
+    tail = b[np.arange(len(head)) + shift]
+    return t.src[head], t.dst[tail], head, tail
+
+
+@lru_cache(maxsize=16)
+def _commutator_paths(shape, i, j):
+    """Edge columns of the two-step paths of every entry (s, e) of
+    P_i P_j - P_j P_i that one reaches, as a read-only (2, 2, entries)
+    array: [0] the path along i then j, [1] along j then i, each as (head,
+    tail) columns; -1 where the entry has no such path."""
+    t = edge_table(shape)
+    paths = _two_step_paths(t, i, j), _two_step_paths(t, j, i)
+    start, end, head, tail = (np.concatenate(x) for x in zip(*paths))
+    order = np.lexsort((end, start))
+    start, end = start[order], end[order]
+    entry = np.cumsum(np.concatenate(
+        ([True], (start[1:] != start[:-1]) | (end[1:] != end[:-1])))) - 1
+    side = (order >= len(paths[0][0])).astype(int)
+    out = np.full((2, 2, entry[-1] + 1), -1)
+    out[side, 0, entry] = head[order]
+    out[side, 1, entry] = tail[order]
+    out.flags.writeable = False
+    return out
 
 
 def commutes_direct(model, i, j, tol=DEFAULT_TOL):
-    """(bool, max residual) for max-abs(P_i P_j - P_j P_i) <= tol."""
+    """(bool, max residual) for max-abs(P_i P_j - P_j P_i) <= tol.
+
+    An entry (s, e) of P_i P_j has at most one nonzero term, the path that
+    moves along i first, so the commutator entry is that path's product
+    minus the product of the path that moves along j first: exactly what
+    the dense products give, with no N x N matrix.
+    """
     model.shape.check_directions(i, j)
-    pi = directional_matrix(model, i)
-    pj = directional_matrix(model, j)
-    residual = float(np.abs(pi @ pj - pj @ pi).max())
+    (h1, t1), (h2, t2) = _commutator_paths(model.shape, i, j)
+    p = np.append(model.edge_prob, 0.0)  # column -1 has probability 0
+    residual = float(np.abs(p[h1] * p[t1] - p[h2] * p[t2]).max())
     return residual <= tol, residual

@@ -12,6 +12,19 @@ from gbdp.param import EdgeClass
 # the worked 3x3-states-per-direction grid with jumps up to 2
 EXP_SHAPE = GridShape((2, 2), 2, 2)
 
+# small shapes of one to three axes with unit and longer jumps
+SWEEP = [
+    GridShape((3,), 1, 1),
+    GridShape((4,), 2, 2),
+    GridShape((1, 1), 1, 1),
+    GridShape((2, 2), 1, 1),
+    GridShape((2, 2), 2, 2),
+    GridShape((3, 2), 2, 2),
+    GridShape((3, 3), 2, 2),
+    GridShape((2, 2, 2), 1, 1),
+    GridShape((2, 2, 2), 2, 2),
+]
+
 
 @pytest.fixture
 def rng():

@@ -24,20 +24,8 @@ from gbdp.errors import ConsistencyError, GbdpError, UnsupportedConfigError
 from gbdp.lattice import edge_columns, edge_pairs, edge_table
 from gbdp.param import EdgeClass
 import conftest
-from conftest import (EXP_SHAPE, grid_laplacian, line_cycle_count,
+from conftest import (EXP_SHAPE, SWEEP, grid_laplacian, line_cycle_count,
                       one_more_free)
-
-SWEEP = [
-    GridShape((3,), 1, 1),
-    GridShape((4,), 2, 2),
-    GridShape((1, 1), 1, 1),
-    GridShape((2, 2), 1, 1),
-    GridShape((2, 2), 2, 2),
-    GridShape((3, 2), 2, 2),
-    GridShape((3, 3), 2, 2),
-    GridShape((2, 2, 2), 1, 1),
-    GridShape((2, 2, 2), 2, 2),
-]
 
 
 def test_reference_orders():

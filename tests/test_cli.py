@@ -14,14 +14,16 @@ from gbdp import (
     GridShape,
     TransitionModel,
     build_model,
+    directed_edges,
     full_matrix,
     matrix_power,
     normalize_stochastic,
     save_model,
     save_params,
 )
-from gbdp import algebra, cli
+from gbdp import algebra, cli, commute, model
 from gbdp.cli import main
+import oracles
 from conftest import EXP_SHAPE, make_parametrization, one_more_free
 
 
@@ -100,6 +102,43 @@ def test_check_commute_is_vacuous_in_one_dimension(tmp_path, capsys):
     save_model(model, path)
     assert main(["check-commute", "--model", str(path)]) == 0
     assert "vacuous" in capsys.readouterr().out
+
+
+CHECK_COMMUTE_OUT = {
+    1.0: "pair (1,2): commutator residual 0.000e+00, "
+         "max constraint residual 0.000e+00 [commute]\n",
+    1.5: "pair (1,2): commutator residual 1.250e-03, "
+         "max constraint residual 1.250e-03 [FAIL]\n"
+         + "".join("  violated: family %d at base %s: step %s along direction "
+                   "1 vs step %s along direction 2\n" % line for line in [
+                       (1, (0, 1), "+1", "+1"), (1, (0, 1), "+1", "+2"),
+                       (2, (0, 1), "+1", "-1"), (1, (1, 0), "+1", "+1"),
+                       (1, (1, 0), "+2", "+1"), (3, (1, 0), "-1", "+1"),
+                       (2, (1, 2), "+1", "-1"), (2, (1, 2), "+2", "-1"),
+                       (4, (1, 2), "-1", "-1"), (2, (1, 3), "+1", "-2")])
+         + "  ... and 8 more\n",
+}
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (1.5, 1)])
+def test_check_commute_forms_no_dense_matrix(scale, code, tmp_path,
+                                             monkeypatch, capsys):
+    # every edge 0.05, and the edges out of (1, 1) times `scale`
+    shape = GridShape((3, 3), 2, 2)
+    probs = {(e.u, e.v): 0.05 * (scale if e.u == (1, 1) else 1.0)
+             for e in directed_edges(shape)}
+    path = tmp_path / "model.json"
+    save_model(TransitionModel(shape, probs, absorbing=True), path)
+
+    def refuse(*args):
+        raise AssertionError("gbdp check-commute formed a dense matrix")
+
+    for module in (model, commute, cli):
+        for name in ("directional_matrix", "full_matrix"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(oracles, "commutes_direct", refuse)
+    assert main(["check-commute", "--model", str(path)]) == code
+    assert capsys.readouterr().out == CHECK_COMMUTE_OUT[scale]
 
 
 def test_a_shape_beyond_the_edge_table_is_an_input_error(tmp_path, capsys):

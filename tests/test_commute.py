@@ -14,7 +14,8 @@ from gbdp import (
 from gbdp.commute import Constraint, constraint_columns, constraint_edges
 from gbdp.errors import DomainError
 from gbdp.lattice import directed_edges, in_grid, shifted
-from conftest import EXP_SHAPE, make_commuting_model
+import oracles
+from conftest import EXP_SHAPE, SWEEP, make_commuting_model
 
 
 def test_parametrized_model_commutes_by_both_routes(rng):
@@ -72,6 +73,34 @@ def test_both_routes_agree_on_random_and_perturbed_models(rng):
                     abs(r) for _, r in constraint_residuals(model, i, j)
                 )
                 assert direct == (worst <= 1e-12)
+
+
+def oracle_models(shape, rng):
+    """Two commuting models (one absorbing), then the first with one edge
+    times 1.5, with that edge deleted, and with a key that is no edge."""
+    commuting = make_commuting_model(shape, rng)
+    absorbing = make_commuting_model(shape, rng, absorbing=True)
+    edge = list(commuting.probs)[int(rng.integers(len(commuting.probs)))]
+    perturbed, deleted = dict(commuting.probs), dict(commuting.probs)
+    perturbed[edge] *= 1.5
+    del deleted[edge]
+    illegal = dict(commuting.probs)
+    origin = (0,) * shape.q
+    illegal[(origin, shifted(origin, 1, shape.l1 + 1))] = 0.5  # too long
+    return [commuting, absorbing] + [TransitionModel(shape, probs)
+                                     for probs in (perturbed, deleted, illegal)]
+
+
+@pytest.mark.parametrize("shape", SWEEP)
+def test_sparse_commutator_equals_the_dense_oracle_bit_for_bit(shape, rng):
+    models = oracle_models(shape, rng)
+    assert models[-1].illegal
+    for model in models:
+        for i in range(1, shape.q + 1):
+            for j in range(i + 1, shape.q + 1):
+                got = commutes_direct(model, i, j)
+                want = oracles.commutes_direct(model, i, j)
+                assert got == want and got[1].hex() == want[1].hex()
 
 
 def test_constraint_count_matches_the_clipped_rectangle_formula():
