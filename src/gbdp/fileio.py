@@ -20,7 +20,14 @@ alpha keys are comma-joined state coordinates; gamma keys are
 format_version must equal 1, integers must be JSON integers (not booleans),
 probabilities and weights must be finite JSON numbers, every edge must be a
 legal grid jump with probability in (0, 1], and self masses must lie in
-[0, 1).  "self" and "absorbing" may be omitted.
+[0, 1).  "self" and "absorbing" may be omitted.  Keys must be canonical,
+spelled exactly as the writers spell them ("0,1", not "0, 1", "+1", "01"
+or "1_0"), so that no two keys name one state or class.  load_model checks
+the edge list as arrays and raises the fault of the first faulty entry in
+file order.
+
+The writers' output equals json.dump(doc, f, indent=2, sort_keys=True)
+followed by a newline, byte for byte.
 """
 
 import csv
@@ -28,15 +35,22 @@ import io
 import json
 import math
 from collections.abc import Mapping
+from functools import lru_cache
+from itertools import chain, count
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DomainError, FormatError, PositivityError, ShapeError
-from .lattice import GridShape, edge_columns, in_grid, is_integer
+from .lattice import (GridShape, edge_table, end_columns, grid_states,
+                      in_grid, is_integer)
 from .model import TransitionModel
 from .param import Parametrization
 
 FORMAT_VERSION = 1
+EDGE_KEYS = ("from", "to", "prob")
+INDENT = "  "  # the writers' layout is json.dump's with indent=2
 
 
 def _check_keys(obj, required, optional, what):
@@ -54,16 +68,25 @@ def _is_int_list(x):
     return isinstance(x, list) and all(is_integer(c) for c in x)
 
 
+def _finite(x):
+    """x as a float if it is a finite JSON number (booleans excluded), else
+    NaN."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            d = float(x)
+        except OverflowError:  # an integer beyond the double range
+            return math.nan
+        if math.isfinite(d):
+            return d
+    return math.nan
+
+
 def _number(x, what):
     """x as a float, if it is a finite JSON number (booleans excluded)."""
-    number = isinstance(x, (int, float)) and not isinstance(x, bool)
-    try:
-        finite = number and math.isfinite(x)
-    except OverflowError:  # an integer beyond the double range
-        finite = False
-    if not finite:
+    d = _finite(x)
+    if math.isnan(d):
         raise FormatError("%s must be a finite number, got %r" % (what, x))
-    return float(x)
+    return d
 
 
 def _self_mass(x, what):
@@ -106,12 +129,22 @@ def _parse_shape(obj):
         raise FormatError(str(exc)) from exc
 
 
-def _parse_state_key(key, q, what):
-    parts = key.split(",")
+def _parse_key(key, what, form):
+    """The integers of a comma-joined key spelled exactly as the writers
+    spell it, so that no two keys name one state or class."""
     try:
-        u = tuple(int(s) for s in parts)
+        numbers = tuple(map(int, key.split(",")))
     except ValueError:
-        raise FormatError("%s key %r is not a comma-joined state" % (what, key))
+        raise FormatError("%s key %r is not %s" % (what, key, form)) from None
+    canonical = ",".join(map(str, numbers))
+    if key != canonical:
+        raise FormatError("%s key %r is not canonical: the writers spell it %r"
+                          % (what, key, canonical))
+    return numbers
+
+
+def _parse_state_key(key, q, what):
+    u = _parse_key(key, what, "a comma-joined state")
     if len(u) != q:
         raise FormatError("%s key %r has %d coordinates, expected %d"
                           % (what, key, len(u), q))
@@ -122,15 +155,111 @@ def _state_key(u):
     return ",".join(str(c) for c in u)
 
 
-def _edge_ends(entry):
-    """(from, to) of an edge entry as tuples, if the entry is well formed."""
-    _check_keys(entry, ("from", "to", "prob"), (), "edge")
-    for end in ("from", "to"):
-        if not _is_int_list(entry[end]):
-            raise FormatError(
-                "edge %s must be a list of integers, got %r" % (end, entry[end])
-            )
-    return tuple(entry["from"]), tuple(entry["to"])
+def _coordinates(lists, q):
+    """Lists of integers as an (m, q) int64 array.  A list of another
+    length is a row of -1s, and a coordinate beyond int64 reads -1: both
+    are on no grid."""
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    flat, total = chain.from_iterable(lists), int(lengths.sum())
+    try:
+        values = np.fromiter(flat, np.int64, total)
+    except OverflowError:
+        values = np.fromiter((c if -2 ** 63 <= c < 2 ** 63 else -1
+                              for c in chain.from_iterable(lists)),
+                             np.int64, total)
+    rows = np.full((len(lists), q), -1, dtype=np.int64)
+    fit = lengths == q
+    rows[fit] = values[np.repeat(fit, lengths)].reshape(-1, q)
+    return rows
+
+
+def _floats(values):
+    """values as a float array; NaN where a value is no finite number."""
+    if set(map(type, values)) <= {float, int}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the double range
+            pass
+    return np.fromiter(map(_finite, values), float, len(values))
+
+
+def _first(bad):
+    """The index of the first True in a boolean array, or None."""
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _repeats(columns):
+    """Whether each column occurs at an earlier index."""
+    repeat = np.ones(len(columns), dtype=bool)
+    repeat[np.unique(columns, return_index=True)[1]] = False
+    return repeat
+
+
+def _fields(edges):
+    """The from, to and prob lists of the edge entries, or None unless
+    every entry is an object with exactly these keys."""
+    if (set(map(type, edges)) <= {dict}
+            and set(map(len, edges)) <= {len(EDGE_KEYS)}):
+        try:
+            return [list(map(itemgetter(key), edges)) for key in EDGE_KEYS]
+        except KeyError:  # three keys, but not these
+            pass
+    return None
+
+
+def _parse_edges(shape, edges):
+    """The probabilities of the edge entries keyed by (from, to), in file
+    order, and the edge_table column of each.
+
+    Each check runs at once over the first n entries, n the index of the
+    first faulty entry found so far, in the per-entry order keys, ends,
+    legality, probability type, probability range, duplicates.  So the
+    fault raised is the first check that the first faulty entry in file
+    order fails.
+    """
+    n, fault = len(edges), None
+    fields = _fields(edges)
+    if fields is None:
+        keys = set(EDGE_KEYS)
+        n = next(i for i, e in enumerate(edges)
+                 if type(e) is not dict or e.keys() != keys)
+        try:
+            _check_keys(edges[n], EDGE_KEYS, (), "edge")
+        except FormatError as exc:
+            fault = exc
+        fields = _fields(edges[:n])
+    froms, tos, probs = fields
+    coordinates = chain.from_iterable(chain(froms, tos))
+    if not (set(map(type, chain(froms, tos))) <= {list}
+            and set(map(type, coordinates)) <= {int}):
+        n = next(i for i, u, v in zip(count(), froms, tos)
+                 if not (_is_int_list(u) and _is_int_list(v)))
+        end = "from" if not _is_int_list(froms[n]) else "to"
+        fault = FormatError("edge %s must be a list of integers, got %r"
+                            % (end, edges[n][end]))
+        froms, tos, probs = froms[:n], tos[:n], probs[:n]
+    columns = end_columns(shape, _coordinates(froms, shape.q),
+                          _coordinates(tos, shape.q))
+    p = _floats(probs)
+    for bad, message in (
+        (lambda: columns[:n] < 0,
+         "edge {0}->{1} exits the grid or is not a legal jump"),
+        (lambda: ~np.isfinite(p[:n]),
+         "edge {0}->{1} probability must be a finite number, got {2!r}"),
+        (lambda: ~((p[:n] > 0.0) & (p[:n] <= 1.0)),
+         "edge {0}->{1} probability {2!r} outside (0, 1]"),
+        (lambda: _repeats(columns[:n]), "duplicate edge {0}->{1}"),
+    ):
+        i = _first(bad())
+        if i is not None:
+            n, fault = i, FormatError(message.format(
+                tuple(froms[i]), tuple(tos[i]), probs[i]))
+    if fault is not None:
+        raise fault
+    t, states = edge_table(shape), grid_states(shape)
+    keys = zip(map(states.__getitem__, t.src[columns].tolist()),
+               map(states.__getitem__, t.dst[columns].tolist()))
+    return dict(zip(keys, p.tolist())), columns
 
 
 def load_model(path):
@@ -141,33 +270,7 @@ def load_model(path):
     shape = _parse_shape(doc["shape"])
     if not isinstance(doc["edges"], list):
         raise FormatError("model edges must be a list")
-    # entries are checked in file order and the first fault is raised;
-    # legality is checked for all well-formed leading entries at once
-    pairs, fault = [], None
-    for entry in doc["edges"]:
-        try:
-            pairs.append(_edge_ends(entry))
-        except FormatError as exc:
-            fault = exc
-            break
-    legal = (edge_columns(shape, pairs) >= 0).tolist()
-    probs = {}
-    for key, entry, ok in zip(pairs, doc["edges"], legal):
-        u, v = key
-        if not ok:
-            raise FormatError(
-                "edge %s->%s exits the grid or is not a legal jump" % (u, v)
-            )
-        p = _number(entry["prob"], "edge %s->%s probability" % (u, v))
-        if not 0.0 < p <= 1.0:
-            raise FormatError(
-                "edge %s->%s probability %r outside (0, 1]" % (u, v, entry["prob"])
-            )
-        if key in probs:
-            raise FormatError("duplicate edge %s->%s" % (u, v))
-        probs[key] = p
-    if fault is not None:
-        raise fault
+    probs, columns = _parse_edges(shape, doc["edges"])
     self_prob = doc.get("self")
     if isinstance(self_prob, dict):
         parsed = {}
@@ -182,7 +285,8 @@ def load_model(path):
     absorbing = doc.get("absorbing", False)
     if not isinstance(absorbing, bool):
         raise FormatError("absorbing must be a boolean, got %r" % (absorbing,))
-    return TransitionModel(shape, probs, self_prob, absorbing)
+    return TransitionModel._resolved(shape, probs, columns, self_prob,
+                                     absorbing)
 
 
 def _shape_doc(shape):
@@ -190,24 +294,84 @@ def _shape_doc(shape):
             "l1": shape.l1, "l2": shape.l2}
 
 
+def _dumps(value, depth):
+    """value as json.dump(indent=2, sort_keys=True) writes it at nesting
+    depth `depth`."""
+    return json.dumps(value, indent=2, sort_keys=True).replace(
+        "\n", "\n" + INDENT * depth)
+
+
+def _numbers(values):
+    """The JSON text of every number in `values`, spelled as json spells it
+    (NaN and Infinity included): one json.dumps of the list, split at its
+    newline separators, which no encoded number contains."""
+    text = json.dumps(values, separators=("\n", ":"))[1:-1]
+    return text.split("\n") if text else []
+
+
+def _layout(brackets, items, depth):
+    """A JSON array or object at nesting depth `depth` from the JSON text
+    of its items, laid out as json.dump(indent=2) lays it out."""
+    if not items:
+        return brackets
+    inner = "\n" + INDENT * (depth + 1)
+    return "".join((brackets[0] + inner, ("," + inner).join(items),
+                    "\n" + INDENT * depth + brackets[1]))
+
+
+def _object(members, depth):
+    """A JSON object from a map of keys to the JSON text of their values,
+    keys sorted as sort_keys sorts them."""
+    return _layout("{}", [encode_basestring_ascii(key) + ": " + text
+                          for key, text in sorted(members.items())], depth)
+
+
+def _table(keys, values, depth):
+    """A JSON object of numbers, such as the alpha table."""
+    return _object(dict(zip(keys, _numbers(list(values)))), depth)
+
+
+@lru_cache(maxsize=16)
+def _edge_template(n_from, n_to):
+    """An edge entry whose ends have n_from and n_to coordinates, with a %s
+    in place of each number."""
+    return _object({"from": _layout("[]", ["%s"] * n_from, 3), "prob": "%s",
+                    "to": _layout("[]", ["%s"] * n_to, 3)}, 2)
+
+
+def _edge_list(probs):
+    """The JSON text of the edge list, entries in key order; its working
+    lists are freed before the document is written."""
+    items = sorted(probs.items())
+    template = _layout("[]", [_edge_template(len(u), len(v))
+                              for (u, v), _ in items], 1)
+    # in the template's order: sort_keys puts "prob" between "from" and "to"
+    return template % tuple(
+        _numbers([x for (u, v), p in items for x in (*u, p, *v)]))
+
+
+def _write_doc(path, members):
+    with open(path, "w") as f:
+        f.write(_object(members, 0))
+        f.write("\n")
+
+
 def save_model(model, path):
-    edges = [
-        {"from": list(u), "to": list(v), "prob": p}
-        for (u, v), p in sorted(model.probs.items())
-    ]
+    """Write the bytes json.dump(doc, f, indent=2, sort_keys=True) writes,
+    then a newline: each edge entry from one template, its numbers from one
+    json.dumps of the flat list of them all."""
     self_prob = model.self_prob
     if isinstance(self_prob, Mapping):
-        self_prob = {_state_key(u): d for u, d in sorted(self_prob.items())}
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "shape": _shape_doc(model.shape),
-        "self": self_prob,
-        "edges": edges,
-        "absorbing": model.absorbing,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        self_text = _table(map(_state_key, self_prob), self_prob.values(), 1)
+    else:
+        self_text = _dumps(self_prob, 1)
+    _write_doc(path, {
+        "absorbing": _dumps(model.absorbing, 1),
+        "edges": _edge_list(model.probs),
+        "format_version": _dumps(FORMAT_VERSION, 1),
+        "self": self_text,
+        "shape": _dumps(_shape_doc(model.shape), 1),
+    })
 
 
 def load_params(path):
@@ -224,14 +388,12 @@ def load_params(path):
     }
     gamma = {}
     for key, g in doc["gamma"].items():
-        parts = key.split(",")
-        try:
-            i, r, x = (int(s) for s in parts)
-        except ValueError:
+        c = _parse_key(key, "gamma", "'direction,offset,step'")
+        if len(c) != 3:
             raise FormatError(
                 "gamma key %r is not 'direction,offset,step'" % (key,)
             )
-        gamma[(i, r, x)] = _number(g, "gamma %r" % key)
+        gamma[c] = _number(g, "gamma %r" % key)
     try:
         return Parametrization(shape, alpha, gamma)
     except (DomainError, PositivityError) as exc:  # alpha or gamma table
@@ -239,17 +401,15 @@ def load_params(path):
 
 
 def save_params(p, path):
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "shape": _shape_doc(p.shape),
-        "alpha": {_state_key(u): a for u, a in sorted(p.alpha.items())},
-        "gamma": {
-            "%d,%d,%d" % c: g for c, g in sorted(p.gamma.items())
-        },
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Write the bytes json.dump(doc, f, indent=2, sort_keys=True) writes,
+    then a newline."""
+    _write_doc(path, {
+        "alpha": _table(map(_state_key, p.alpha), p.alpha.values(), 1),
+        "format_version": _dumps(FORMAT_VERSION, 1),
+        "gamma": _table(("%d,%d,%d" % c for c in p.gamma), p.gamma.values(),
+                        1),
+        "shape": _dumps(_shape_doc(p.shape), 1),
+    })
 
 
 def state_label(u):

@@ -50,6 +50,17 @@ class TransitionModel:
                 tuple(u): float(d) for u, d in self.self_prob.items()
             }))
 
+    @classmethod
+    def _resolved(cls, shape, probs, columns, self_prob, absorbing):
+        """The model of `probs`, a dict from pairs of int tuples to floats
+        that no one else holds, whose keys sit at edge_table `columns` in
+        key order; for a loader that built the dict and found the columns
+        while it checked a file, so that neither is done again."""
+        model = cls(shape, {}, self_prob, absorbing)
+        object.__setattr__(model, "probs", MappingProxyType(probs))
+        model.__dict__["_columns"] = columns
+        return model
+
     def p(self, u, v):
         return self.probs.get((tuple(u), tuple(v)), 0.0)
 

@@ -3,16 +3,21 @@
 import csv
 import io
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from gbdp import (
     GridShape,
+    Parametrization,
     TransitionModel,
     build_grid,
     build_model,
+    edge_classes,
     load_model,
     load_params,
     normalize_stochastic,
@@ -27,7 +32,8 @@ from gbdp.fileio import (
     write_frequency_csv,
     write_matrix_csv,
 )
-from conftest import EXP_SHAPE, make_parametrization
+from gbdp.lattice import edge_pairs
+from conftest import EXP_SHAPE, SWEEP, make_parametrization
 
 
 def test_model_round_trip(tmp_path, rng):
@@ -38,6 +44,9 @@ def test_model_round_trip(tmp_path, rng):
     assert back.shape == model.shape
     assert back.probs == model.probs
     assert back.self_prob is None and back.absorbing is False
+    # the loader hands its edge columns to the model
+    assert np.array_equal(back.edge_prob, model.edge_prob)
+    assert back.illegal == ()
 
 
 def test_model_round_trip_keeps_self_table_and_absorbing(tmp_path):
@@ -148,6 +157,12 @@ def test_model_files_are_parsed_strictly(tmp_path, mutate, message):
       {"from": [1], "to": [0], "prob": 2.0}, {"from": [0], "prob": 0.5}],
      "edge to must be a list of integers"),
     ([{"from": [0], "to": [10 ** 400], "prob": 0.5}], "exits the grid"),
+    # one entry with two faults: the check that runs first is reported
+    ([{"from": [0], "to": [True]}], "edge is missing keys"),
+    ([{"from": [True], "to": [3], "prob": 0.5}],
+     "edge from must be a list of integers"),
+    ([{"from": [0], "to": [3], "prob": "0.5"}], "exits the grid"),
+    ([{"from": [0], "to": [1], "prob": 1.5}], "outside \\(0, 1\\]"),
 ])
 def test_the_first_faulty_edge_entry_is_reported(tmp_path, entries, message):
     doc = _base_doc()
@@ -206,6 +221,143 @@ def test_params_files_are_parsed_strictly(tmp_path, rng):
         mutate(bad)
         with pytest.raises(FormatError, match=message):
             load_params(_write(tmp_path, bad))
+
+
+def _assert_oracle_bytes(tmp_path, save, oracle, value):
+    paths = tmp_path / "fast.json", tmp_path / "oracle.json"
+    save(value, paths[0])
+    oracle(value, paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("shape", SWEEP, ids=str)
+def test_writers_write_the_bytes_of_json_dump(tmp_path, rng, shape):
+    p = make_parametrization(shape, rng)
+    _assert_oracle_bytes(tmp_path, save_params, oracles.save_params, p)
+    table = {u: 0.125 * (k % 3) for k, u in enumerate(build_grid(shape).states)}
+    for self_prob in (None, 0.25, 0, table):
+        for absorbing in (False, True):
+            _assert_oracle_bytes(tmp_path, save_model, oracles.save_model,
+                                 build_model(p, self_prob, absorbing))
+
+
+# no edge, the extreme doubles, and values json spells NaN and Infinity
+@pytest.mark.parametrize("probs", [[], [5e-324, 1e-300, 1.0 / 3.0, 1.0],
+                                   [math.nan, 0.5], [math.inf, -math.inf]])
+def test_model_writer_spells_numbers_as_json_does(tmp_path, probs):
+    shape = GridShape((2, 2), 1, 1)
+    model = TransitionModel(shape, dict(zip(edge_pairs(shape), probs)))
+    _assert_oracle_bytes(tmp_path, save_model, oracles.save_model, model)
+    if all(0.0 < p <= 1.0 for p in probs):
+        back = load_model(tmp_path / "fast.json")
+        assert back.probs == model.probs
+        assert np.array_equal(back.edge_prob, model.edge_prob)
+
+
+# a (9,9,9) l=2 model: 10,200 entries, every probability in (0, 1]
+CUBE = GridShape((9, 9, 9), 2, 2)
+FAULTS = ["missing key", "boolean coordinate", "off grid", "no jump",
+          "string probability", "probability above 1", "duplicate"]
+
+
+@pytest.fixture(scope="module")
+def cube_text(tmp_path_factory):
+    rng = np.random.default_rng(5)
+    p = Parametrization(
+        CUBE, {u: float(rng.uniform(1.0, 1.1)) for u in build_grid(CUBE).states},
+        {c: float(rng.uniform(0.05, 0.1)) for c in edge_classes(CUBE)})
+    path = tmp_path_factory.mktemp("cube") / "model.json"
+    save_model(build_model(p, absorbing=True), path)
+    return path.read_text()
+
+
+def _corrupt(edges, at, kind):
+    """Give entry `at` the fault `kind`; the message that reports it."""
+    entry = edges[at]
+    u, v = tuple(entry["from"]), tuple(entry["to"])
+    if kind == "missing key":
+        del entry["prob"]
+        return "edge is missing keys: ['prob']"
+    if kind == "boolean coordinate":
+        entry["from"][0] = True
+        return "edge from must be a list of integers, got %r" % (entry["from"],)
+    if kind == "off grid":
+        entry["to"][0] = 10
+        return ("edge %s->%s exits the grid or is not a legal jump"
+                % (u, tuple(entry["to"])))
+    if kind == "no jump":
+        entry["to"] = list(u)
+        return "edge %s->%s exits the grid or is not a legal jump" % (u, u)
+    if kind == "string probability":
+        entry["prob"] = "0.5"
+        return ("edge %s->%s probability must be a finite number, got '0.5'"
+                % (u, v))
+    if kind == "probability above 1":
+        entry["prob"] = 1.5
+        return "edge %s->%s probability 1.5 outside (0, 1]" % (u, v)
+    edges[at] = dict(edges[0])
+    return "duplicate edge %s->%s" % (tuple(edges[0]["from"]),
+                                      tuple(edges[0]["to"]))
+
+
+@pytest.mark.parametrize("kind", FAULTS)
+def test_a_fault_deep_in_a_large_file_is_reported(tmp_path, cube_text, kind):
+    doc = json.loads(cube_text)
+    assert len(doc["edges"]) == 10200
+    message = _corrupt(doc["edges"], 5000, kind)
+    with pytest.raises(FormatError) as exc:
+        load_model(_write(tmp_path, doc))
+    assert str(exc.value) == message
+
+
+# each kind once at either entry; the later entry often fails a check
+# that runs before the one the earlier entry fails
+@pytest.mark.parametrize("early,late", zip(FAULTS, reversed(FAULTS)))
+def test_the_earlier_of_two_faults_is_reported(tmp_path, cube_text, early,
+                                               late):
+    doc = json.loads(cube_text)
+    message = _corrupt(doc["edges"], 3000, early)
+    _corrupt(doc["edges"], 5000, late)
+    with pytest.raises(FormatError) as exc:
+        load_model(_write(tmp_path, doc))
+    assert str(exc.value) == message
+
+
+def _ref_params_doc(tmp_path):
+    save_params(make_parametrization(EXP_SHAPE, np.random.default_rng(1)),
+                tmp_path / "p.json")
+    return json.loads((tmp_path / "p.json").read_text())
+
+
+def test_a_second_spelling_of_an_alpha_state_is_rejected(tmp_path):
+    doc = _ref_params_doc(tmp_path)
+    doc["alpha"]["0,0_0"] = 99.0  # int() reads "0_0" as 0
+    with pytest.raises(FormatError, match="alpha key '0,0_0' is not canonical"):
+        load_params(_write(tmp_path, doc))
+
+
+def test_a_spaced_alpha_key_is_rejected(tmp_path):
+    doc = _ref_params_doc(tmp_path)
+    doc["alpha"]["0, 1"] = doc["alpha"].pop("0,1")
+    with pytest.raises(FormatError, match="alpha key '0, 1' is not canonical"):
+        load_params(_write(tmp_path, doc))
+
+
+def test_a_second_spelling_of_a_gamma_class_is_rejected(tmp_path):
+    doc = _ref_params_doc(tmp_path)
+    doc["gamma"]["1, 0, 1 "] = 99.0
+    with pytest.raises(FormatError,
+                       match="gamma key '1, 0, 1 ' is not canonical"):
+        load_params(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("key", [" 1", "+1", "01", "1_0", "-0"])
+def test_self_table_keys_must_be_canonical(tmp_path, key):
+    doc = _base_doc()
+    doc["self"] = {"0": 0.25, key: 0.5}
+    message = "self table key %r is not canonical" % key
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_model(_write(tmp_path, doc))
 
 
 def test_matrix_csv_layout():
