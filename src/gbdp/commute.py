@@ -102,6 +102,14 @@ def pair_constraints(shape, i, j):
     return constraint_labels(shape, left1, right1)
 
 
+def _residuals(model, columns):
+    """left product - right product of the constraints at `columns`, as
+    constraint_columns gives them."""
+    left1, left2, right1, right2 = columns
+    p = model.edge_prob
+    return p[left1] * p[left2] - p[right1] * p[right2]
+
+
 def pair_residuals(model, i, j):
     """The residual of every constraint of the pair (i, j), as an array in
     pair_constraints order.
@@ -109,15 +117,14 @@ def pair_residuals(model, i, j):
     residual = left product - right product, with any absent edge
     contributing probability 0.
     """
-    left1, left2, right1, right2 = constraint_columns(model.shape, i, j)
-    p = model.edge_prob
-    return p[left1] * p[left2] - p[right1] * p[right2]
+    return _residuals(model, constraint_columns(model.shape, i, j))
 
 
 def constraint_residuals(model, i, j):
     """(Constraint, residual) for every constraint of the pair (i, j)."""
-    return list(zip(pair_constraints(model.shape, i, j),
-                    pair_residuals(model, i, j).tolist()))
+    columns = constraint_columns(model.shape, i, j)
+    return list(zip(constraint_labels(model.shape, columns[0], columns[2]),
+                    _residuals(model, columns).tolist()))
 
 
 def _two_step_paths(t, first, second):

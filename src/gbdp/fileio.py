@@ -43,8 +43,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, FormatError, PositivityError, ShapeError
-from .lattice import (GridShape, edge_table, end_columns, grid_states,
-                      in_grid, is_integer)
+from .lattice import GridShape, edge_columns, in_grid, is_integer
 from .model import TransitionModel
 from .param import Parametrization
 
@@ -107,10 +106,14 @@ def _check_version(doc, what):
 
 def _load_json(path, what):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
     except json.JSONDecodeError as exc:
         raise FormatError("%s is not valid JSON: %s" % (what, exc))
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s is not UTF-8 text: %s" % (what, exc)) from None
+    except RecursionError:
+        raise FormatError("%s nests too deeply to parse" % what) from None
 
 
 def _parse_shape(obj):
@@ -155,24 +158,6 @@ def _state_key(u):
     return ",".join(str(c) for c in u)
 
 
-def _coordinates(lists, q):
-    """Lists of integers as an (m, q) int64 array.  A list of another
-    length is a row of -1s, and a coordinate beyond int64 reads -1: both
-    are on no grid."""
-    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
-    flat, total = chain.from_iterable(lists), int(lengths.sum())
-    try:
-        values = np.fromiter(flat, np.int64, total)
-    except OverflowError:
-        values = np.fromiter((c if -2 ** 63 <= c < 2 ** 63 else -1
-                              for c in chain.from_iterable(lists)),
-                             np.int64, total)
-    rows = np.full((len(lists), q), -1, dtype=np.int64)
-    fit = lengths == q
-    rows[fit] = values[np.repeat(fit, lengths)].reshape(-1, q)
-    return rows
-
-
 def _floats(values):
     """values as a float array; NaN where a value is no finite number."""
     if set(map(type, values)) <= {float, int}:
@@ -208,8 +193,9 @@ def _fields(edges):
 
 
 def _parse_edges(shape, edges):
-    """The probabilities of the edge entries keyed by (from, to), in file
-    order, and the edge_table column of each.
+    """The edge_table column and the probability of every edge entry, in
+    file order, as two arrays; load_model hands both to the model, so
+    the model looks no key up again.
 
     Each check runs at once over the first n entries, n the index of the
     first faulty entry found so far, in the per-entry order keys, ends,
@@ -238,8 +224,7 @@ def _parse_edges(shape, edges):
         fault = FormatError("edge %s must be a list of integers, got %r"
                             % (end, edges[n][end]))
         froms, tos, probs = froms[:n], tos[:n], probs[:n]
-    columns = end_columns(shape, _coordinates(froms, shape.q),
-                          _coordinates(tos, shape.q))
+    columns = edge_columns(shape, list(zip(froms, tos)))
     p = _floats(probs)
     for bad, message in (
         (lambda: columns[:n] < 0,
@@ -256,10 +241,7 @@ def _parse_edges(shape, edges):
                 tuple(froms[i]), tuple(tos[i]), probs[i]))
     if fault is not None:
         raise fault
-    t, states = edge_table(shape), grid_states(shape)
-    keys = zip(map(states.__getitem__, t.src[columns].tolist()),
-               map(states.__getitem__, t.dst[columns].tolist()))
-    return dict(zip(keys, p.tolist())), columns
+    return columns, p
 
 
 def load_model(path):
@@ -270,7 +252,7 @@ def load_model(path):
     shape = _parse_shape(doc["shape"])
     if not isinstance(doc["edges"], list):
         raise FormatError("model edges must be a list")
-    probs, columns = _parse_edges(shape, doc["edges"])
+    columns, prob = _parse_edges(shape, doc["edges"])
     self_prob = doc.get("self")
     if isinstance(self_prob, dict):
         parsed = {}
@@ -285,8 +267,8 @@ def load_model(path):
     absorbing = doc.get("absorbing", False)
     if not isinstance(absorbing, bool):
         raise FormatError("absorbing must be a boolean, got %r" % (absorbing,))
-    return TransitionModel._resolved(shape, probs, columns, self_prob,
-                                     absorbing)
+    return TransitionModel._of_columns(shape, columns, prob, self_prob,
+                                       absorbing)
 
 
 def _shape_doc(shape):

@@ -197,8 +197,11 @@ def _end_coordinates(pairs, fit, q):
 
 
 def edge_columns(shape, pairs):
-    """Edge column of each (u, v) pair; -1 where u -> v is not an edge."""
-    q = shape.q
+    """Edge column of each (u, v) pair of coordinate sequences; -1 where
+    u -> v is not an edge.  The one map from coordinates to columns: the
+    model file loader sends its (from, to) lists through it, and a model
+    built from a dict by hand its keys, once, on first use."""
+    q, t = shape.q, edge_table(shape)
     fit = [len(u) == q == len(v) for u, v in pairs]
     try:
         uv = _end_coordinates(pairs, fit, q)
@@ -208,27 +211,17 @@ def edge_columns(shape, pairs):
                for (u, v), f in zip(pairs, fit)]
         uv = _end_coordinates(pairs, fit, q)
     on = ((uv == np.floor(uv)) & (uv >= 0) & (uv <= shape.dims)).all((1, 2))
-    out = np.full(len(pairs), -1)
-    out[np.flatnonzero(fit)[on]] = end_columns(
-        shape, *uv[on].astype(int).transpose(1, 0, 2))
-    return out
-
-
-def end_columns(shape, u, v):
-    """Edge column of each row pair u[k] -> v[k] of two (m, q) integer
-    arrays; -1 where it is not an edge."""
-    t, dims = edge_table(shape), np.array(shape.dims)
-    on = ((u >= 0) & (u <= dims) & (v >= 0) & (v <= dims)).all(axis=1)
-    u, v = u[on], v[on]
+    u, v = uv[on].astype(int).transpose(1, 0, 2)
     d = v - u
     axis = np.abs(d).argmax(axis=1)
     step = d[np.arange(len(d)), axis]
     lmax = max(shape.l1, shape.l2)
     move = ((d != 0).sum(axis=1) == 1) & (np.abs(step) <= lmax)
-    slot = move_slot(step, lmax)
-    src = np.ravel_multi_index(u.T, dims + 1)
-    out = np.full(len(on), -1)
-    out[on] = np.where(move, t.column[src, axis, np.where(move, slot, 0)], -1)
+    src = np.ravel_multi_index(u.T, np.add(shape.dims, 1))
+    slot = move_slot(np.where(move, step, 1), lmax)
+    out = np.full(len(pairs), -1)
+    out[np.flatnonzero(fit)[on]] = np.where(move, t.column[src, axis, slot],
+                                            -1)
     return out
 
 

@@ -9,9 +9,10 @@ implicit sink state that never appears in matrices.
 
 A model is a value: its fields and tables are read-only after construction.
 To change a probability, copy `dict(model.probs)`, edit the copy and build
-a new model.  On first use a model resolves its keys against the shape's
-edge table once, into `edge_prob`, `illegal` and `self_mass`, which every
-consumer reads.
+a new model.  Every consumer reads `edge_prob`, `illegal` and `self_mass`,
+which follow the shape's edge table.  The models of build_model and
+load_model carry the edge column of each key from the start; a model built
+from a dict by hand maps its keys to columns once, on first use.
 
 Dense matrices (the directional parts P_i and the full matrix P = sum_i P_i
 + D, with D the diagonal of self masses) are materialized on demand in the
@@ -27,7 +28,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError
-from .lattice import edge_columns, edge_table, grid_states, in_grid
+from .lattice import (edge_columns, edge_pairs, edge_table, grid_states,
+                      in_grid)
 
 # absolute tolerance for the "row sum = 1" check; all arithmetic is double
 # precision and grids are small
@@ -51,14 +53,16 @@ class TransitionModel:
             }))
 
     @classmethod
-    def _resolved(cls, shape, probs, columns, self_prob, absorbing):
-        """The model of `probs`, a dict from pairs of int tuples to floats
-        that no one else holds, whose keys sit at edge_table `columns` in
-        key order; for a loader that built the dict and found the columns
-        while it checked a file, so that neither is done again."""
+    def _of_columns(cls, shape, columns, prob, self_prob, absorbing):
+        """The model of the edges at edge_table `columns`, an int array of
+        distinct columns, with probabilities `prob`, a float array aligned
+        with it: its keys are those edges in the order of `columns`, and
+        `columns` stands in for the lookup of `_columns`."""
+        pairs = edge_pairs(shape)
         model = cls(shape, {}, self_prob, absorbing)
-        object.__setattr__(model, "probs", MappingProxyType(probs))
-        model.__dict__["_columns"] = columns
+        object.__setattr__(model, "probs", MappingProxyType(dict(zip(
+            map(pairs.__getitem__, columns.tolist()), prob.tolist()))))
+        object.__setattr__(model, "_columns", columns)
         return model
 
     def p(self, u, v):

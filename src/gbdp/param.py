@@ -107,10 +107,10 @@ def build_model(p, self_prob=None, absorbing=False):
     t = edge_table(p.shape)
     alpha = np.array([p.alpha[u] for u in grid_states(p.shape)])
     gamma = np.array([p.gamma[c] for c in edge_classes(p.shape)])[t.cls]
-    prob = alpha[t.src] * gamma / alpha[t.dst]
-    probs = {e: x for e, x, g in zip(edge_pairs(p.shape), prob.tolist(),
-                                     gamma.tolist()) if g != 0.0}
-    return TransitionModel(p.shape, probs, self_prob, absorbing)
+    columns = np.flatnonzero(gamma != 0.0)
+    prob = alpha[t.src[columns]] * gamma[columns] / alpha[t.dst[columns]]
+    return TransitionModel._of_columns(p.shape, columns, prob, self_prob,
+                                       absorbing)
 
 
 def recover_params(model):

@@ -141,6 +141,44 @@ def test_check_commute_forms_no_dense_matrix(scale, code, tmp_path,
     assert capsys.readouterr().out == CHECK_COMMUTE_OUT[scale]
 
 
+def test_the_worst_constraint_may_be_the_last_of_its_pair(tmp_path, capsys):
+    # every edge 0.05; both legs of the left path of the last constraint,
+    # (3,3) -> (1,3) -> (1,1), times 1.5: only that constraint has both
+    shape = GridShape((3, 3), 2, 2)
+    scaled = {((3, 3), (1, 3)), ((1, 3), (1, 1))}
+    probs = {(e.u, e.v): 0.05 * (1.5 if (e.u, e.v) in scaled else 1.0)
+             for e in directed_edges(shape)}
+    m = TransitionModel(shape, probs, absorbing=True)
+    size = np.abs(commute.pair_residuals(m, 1, 2))
+    assert size[-1] > size[:-1].max()
+    path = tmp_path / "model.json"
+    save_model(m, path)
+    assert main(["check-commute", "--model", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "pair (1,2): commutator residual 3.125e-03, "
+        "max constraint residual 3.125e-03 [FAIL]\n"
+        + "".join("  violated: family %d at base %s: step %s along direction "
+                  "1 vs step %s along direction 2\n" % line for line in [
+                      (2, (0, 3), "+1", "-2"), (2, (1, 3), "+1", "-2"),
+                      (2, (1, 3), "+2", "-2"), (4, (1, 3), "-1", "-2"),
+                      (4, (2, 3), "-1", "-2"), (3, (3, 1), "-2", "+2"),
+                      (3, (3, 2), "-2", "+1"), (4, (3, 3), "-2", "-1"),
+                      (4, (3, 3), "-2", "-2")]))
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not-utf8", "deep"])
+@pytest.mark.parametrize("command", [["check-commute", "--model"],
+                                     ["kstep", "--k", "1", "--params"]],
+                         ids=["check-commute", "kstep"])
+def test_an_unparsable_file_is_an_input_error(data, command, tmp_path,
+                                              capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert main(command + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_a_shape_beyond_the_edge_table_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({

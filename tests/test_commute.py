@@ -11,6 +11,7 @@ from gbdp import (
     constraint_residuals,
     pair_constraints,
 )
+from gbdp import commute
 from gbdp.commute import Constraint, constraint_columns, constraint_edges
 from gbdp.errors import DomainError
 from gbdp.lattice import directed_edges, in_grid, shifted
@@ -161,6 +162,23 @@ def test_constraint_columns_are_the_edges_of_each_constraint(dims, l1, l2):
                 left, right = constraint_edges(c)
                 assert (pairs[a1], pairs[a2]) == left
                 assert (pairs[b1], pairs[b2]) == right
+
+
+def test_constraint_residuals_build_the_constraint_columns_once(monkeypatch,
+                                                                rng):
+    model = make_commuting_model(EXP_SHAPE, rng)
+    expected = list(zip(pair_constraints(EXP_SHAPE, 1, 2),
+                        commute.pair_residuals(model, 1, 2).tolist()))
+    calls = []
+    build = commute.constraint_columns
+
+    def counted(shape, i, j):
+        calls.append((i, j))
+        return build(shape, i, j)
+
+    monkeypatch.setattr(commute, "constraint_columns", counted)
+    assert constraint_residuals(model, 1, 2) == expected
+    assert calls == [(1, 2)]
 
 
 def test_constraint_edges_of_the_unit_square_identity():

@@ -190,6 +190,21 @@ def test_malformed_json_is_reported(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "model file is not UTF-8 text"),
+    (b"[" * 100000, "model file nests too deeply to parse"),
+], ids=["not-utf8", "deep"])
+def test_undecodable_and_deeply_nested_files_are_format_errors(tmp_path, data,
+                                                               message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        load_model(path)
+    with pytest.raises(FormatError,
+                       match=message.replace("model", "parametrization")):
+        load_params(path)
+
+
 def test_params_files_are_parsed_strictly(tmp_path, rng):
     save_params(make_parametrization(GridShape((1,), 1, 1), rng),
                 tmp_path / "p.json")

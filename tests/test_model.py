@@ -9,17 +9,23 @@ import gbdp.model
 from gbdp import (
     GridShape,
     TransitionModel,
+    build_grid,
+    build_model,
     commutes_direct,
     constraint_residuals,
     directional_matrix,
+    edge_classes,
     full_matrix,
+    load_model,
     recover_params,
     row_mass,
+    save_model,
     validate,
 )
 from gbdp.errors import DomainError
 from gbdp.simulate import cdf_table
-from conftest import EXP_SHAPE, make_commuting_model
+from conftest import (EXP_SHAPE, SWEEP, make_commuting_model,
+                      make_parametrization)
 
 
 def test_one_dimensional_tridiagonal_assembly():
@@ -190,7 +196,10 @@ def test_a_model_is_read_only():
     assert model.self_mass.tolist() == [0.2, 0.0]
 
 
-def test_keys_are_resolved_once_per_model(monkeypatch):
+def test_keys_are_resolved_once_per_model(monkeypatch, tmp_path):
+    """build_model and load_model hand over their edge columns, so their
+    models look up no key; a model built from a dict looks its keys up
+    once."""
     calls = []
     resolve = gbdp.model.edge_columns
 
@@ -198,11 +207,14 @@ def test_keys_are_resolved_once_per_model(monkeypatch):
         calls.append(shape)
         return resolve(shape, pairs)
 
-    monkeypatch.setattr(gbdp.model, "edge_columns", counted)
     shape = GridShape((2, 1, 2), 1, 1)
-    models = [make_commuting_model(shape, np.random.default_rng(seed),
-                                   self_prob=0.1) for seed in (1, 2)]
-    for model in models:
+    built = build_model(make_parametrization(
+        shape, np.random.default_rng(1), low=0.2, high=0.4), 0.1)
+    save_model(built, tmp_path / "m.json")
+    loaded = load_model(tmp_path / "m.json")
+    by_hand = TransitionModel(shape, dict(built.probs), 0.1)
+    monkeypatch.setattr(gbdp.model, "edge_columns", counted)
+    for model, lookups in ((built, 0), (loaded, 0), (by_hand, 1)):
         validate(model)
         row_mass(model)
         full_matrix(model)
@@ -213,7 +225,34 @@ def test_keys_are_resolved_once_per_model(monkeypatch):
                 commutes_direct(model, i, j)
         recover_params(model)
         cdf_table(model)
-    assert calls == [shape] * len(models)
+        assert calls == [shape] * lookups
+        calls.clear()
+
+
+def _self_masses(shape, rng):
+    table = {u: float(rng.uniform(0.0, 0.2)) for u in build_grid(shape).states}
+    return None, 0.25, table
+
+
+@pytest.mark.parametrize("shape", SWEEP, ids=str)
+def test_models_that_carry_columns_equal_the_model_of_their_dict(shape,
+                                                                 tmp_path):
+    rng = np.random.default_rng(shape.n_states)
+    p = make_parametrization(shape, rng, low=0.2, high=0.4)
+    p.gamma[edge_classes(shape)[-1]] = 0.0  # a class with no edges
+    path = tmp_path / "m.json"
+    for self_prob in _self_masses(shape, rng):
+        for absorbing in (False, True):
+            built = build_model(p, self_prob, absorbing)
+            save_model(built, path)
+            for m in (built, load_model(path)):
+                again = TransitionModel(m.shape, dict(m.probs), m.self_prob,
+                                        m.absorbing)
+                assert again == m
+                assert list(again.probs.items()) == list(m.probs.items())
+                assert (again.edge_prob == m.edge_prob).all()
+                assert again.illegal == m.illegal == ()
+                assert (again.self_mass == m.self_mass).all()
 
 
 def test_self_mass_is_a_real_number_not_a_bool():
