@@ -229,19 +229,15 @@ def test_keys_are_resolved_once_per_model(monkeypatch, tmp_path):
         calls.clear()
 
 
-def _self_masses(shape, rng):
-    table = {u: float(rng.uniform(0.0, 0.2)) for u in build_grid(shape).states}
-    return None, 0.25, table
-
-
 @pytest.mark.parametrize("shape", SWEEP, ids=str)
 def test_models_that_carry_columns_equal_the_model_of_their_dict(shape,
                                                                  tmp_path):
     rng = np.random.default_rng(shape.n_states)
     p = make_parametrization(shape, rng, low=0.2, high=0.4)
     p.gamma[edge_classes(shape)[-1]] = 0.0  # a class with no edges
+    table = {u: float(rng.uniform(0.0, 0.2)) for u in build_grid(shape).states}
     path = tmp_path / "m.json"
-    for self_prob in _self_masses(shape, rng):
+    for self_prob in (None, 0.25, table):
         for absorbing in (False, True):
             built = build_model(p, self_prob, absorbing)
             save_model(built, path)
