@@ -19,7 +19,6 @@ from gbdp import (
     edge_classes,
     full_matrix,
     k_step,
-    k_step_with_self,
     matrix_power,
     normalize_stochastic,
 )
@@ -57,5 +56,5 @@ for u, prob in zip(grid.states, row):
 a = 0.2
 pa = normalize_stochastic(raw, alpha_self=a)
 ma = full_matrix(build_model(pa)) + a * np.eye(len(grid))
-gap = np.abs(k_step_with_self(pa, a, 10) - matrix_power(ma, 10)).max()
+gap = np.abs(k_step(pa, 10, a) - matrix_power(ma, 10)).max()
 print("with self mass %.1f, k=10: max gap %.2e" % (a, gap))

@@ -27,7 +27,6 @@ from .commute import (
 )
 from .errors import (
     ConsistencyError,
-    ConvergenceError,
     DomainError,
     FormatError,
     GbdpError,
@@ -43,11 +42,9 @@ from .lattice import (
     GridShape,
     build_grid,
     directed_edges,
-    edge_between,
 )
 from .model import (
     TransitionModel,
-    directional_matrix,
     full_matrix,
     row_mass,
     validate,
@@ -64,12 +61,10 @@ from .spectral import (
     BlockDecomposition,
     EigenSystem,
     block_decompose,
-    direction_operator,
     k_step,
-    k_step_with_self,
     matrix_power,
     symmetric_eigen,
 )
-from .stochastic import is_stochastic, normalize_stochastic, perron
+from .stochastic import is_stochastic, normalize_stochastic
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .lattice import GridShape, build_grid
 from .model import check_self_mass, full_matrix, row_mass
 from .param import build_model
 from .simulate import empirical_kstep
-from .spectral import k_step_with_self, matrix_power
+from .spectral import k_step, matrix_power
 from .stochastic import normalize_stochastic
 
 # the row-sum bound `gbdp normalize` reports against; looser than
@@ -91,7 +91,7 @@ def _write_matrix(out, shape, matrix):
 def cmd_kstep(args):
     p = fileio.load_params(args.params)
     if p.shape.l1 == p.shape.l2:
-        matrix = k_step_with_self(p, args.self_mass, args.k)
+        matrix = k_step(p, args.k, args.self_mass)
     else:  # the blocks are not symmetric: the dense power is the only route
         model = build_model(p, check_self_mass(args.self_mass) or None)
         matrix = matrix_power(full_matrix(model), args.k)

@@ -11,6 +11,9 @@ Two routes are provided and kept deliberately independent:
 * constraint_residuals evaluates the bilinear two-step identities whose
   joint vanishing is equivalent to commutation.
 
+Both read edges as columns of the edge table.  The dense commutator and the
+constraints' edges spelled out as coordinate pairs are test oracles.
+
 Each constraint compares the two orders of a pair of jumps: one of signed
 size a along direction i, one of signed size b along direction j.  With
 w = u + a e_i + b e_j, the identity is
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import edge_table, grid_states, move_slot, shifted
+from .lattice import edge_table, grid_states, move_slot
 
 # probabilities are O(1) so products are O(1); absolute tolerance
 DEFAULT_TOL = 1e-12
@@ -48,18 +51,6 @@ class Constraint(NamedTuple):
     base: tuple
     step_i: int  # signed jump along direction i (first factor on the left)
     step_j: int  # signed jump along direction j
-
-
-def constraint_edges(c):
-    """The four directed edges of a constraint.
-
-    Returns ((left1, left2), (right1, right2)); the identity says the product
-    of the left pair equals the product of the right pair.
-    """
-    v1 = shifted(c.base, c.i, c.step_i)
-    v2 = shifted(c.base, c.j, c.step_j)
-    w = shifted(v1, c.j, c.step_j)
-    return ((c.base, v1), (v1, w)), ((c.base, v2), (v2, w))
 
 
 def constraint_columns(shape, i, j):

@@ -37,6 +37,3 @@ class UnsupportedConfigError(GbdpError):
 class StructureError(GbdpError):
     """A matrix lacks required structure (for example irreducibility)."""
 
-
-class ConvergenceError(GbdpError):
-    """An iteration failed to converge within its cap."""

@@ -252,27 +252,6 @@ def build_grid(shape):
     return Grid(shape)
 
 
-def shifted(u, direction, step):
-    """State u with coordinate `direction` (1-based) moved by `step`."""
-    i = direction - 1
-    return u[:i] + (u[i] + step,) + u[i + 1:]
-
-
-def edge_between(shape, u, v):
-    """The Edge u -> v if the pair is adjacent on the grid, else None."""
-    u, v = tuple(u), tuple(v)
-    if not (in_grid(shape, u) and in_grid(shape, v)):
-        return None
-    diff = [i for i in range(shape.q) if u[i] != v[i]]
-    if len(diff) != 1:
-        return None
-    i = diff[0]
-    step = v[i] - u[i]
-    if 0 < step <= shape.l1 or 0 < -step <= shape.l2:
-        return Edge(u, v, i + 1, step)
-    return None
-
-
 def edge_pairs(shape):
     """The (u, v) state pair of every edge column."""
     t = edge_table(shape)

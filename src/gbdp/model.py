@@ -14,9 +14,10 @@ which follow the shape's edge table.  The models of build_model and
 load_model carry the edge column of each key from the start; a model built
 from a dict by hand maps its keys to columns once, on first use.
 
-Dense matrices (the directional parts P_i and the full matrix P = sum_i P_i
-+ D, with D the diagonal of self masses) are materialized on demand in the
-lattice index order.
+full_matrix materializes the dense P = sum_i P_i + D, with P_i the moves
+along coordinate i and D the diagonal of self masses, in the lattice index
+order; only the dense k-step power needs it.  No production route forms a
+single P_i: the dense P_i are test oracles.
 """
 
 import numbers
@@ -166,19 +167,6 @@ def row_mass(model):
     src, n = edge_table(model.shape).src, model.shape.n_states
     return (np.bincount(src, weights=model.edge_prob, minlength=n)
             + model.self_mass)
-
-
-def directional_matrix(model, i):
-    """Matrix P_i of moves along coordinate i (1-based); other entries zero.
-
-    Keys that are not legal grid edges (a validation violation) are skipped.
-    """
-    shape = model.shape
-    shape.check_directions(i)
-    t = edge_table(shape)
-    out = np.zeros((shape.n_states, shape.n_states))
-    out[t.src, t.dst] = np.where(t.direction == i, model.edge_prob, 0.0)
-    return out
 
 
 def full_matrix(model):

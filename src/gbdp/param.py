@@ -67,8 +67,9 @@ class Parametrization:
     gamma: dict
 
     def __post_init__(self):
-        self.alpha = {tuple(u): float(a) for u, a in self.alpha.items()}
-        self.gamma = {EdgeClass(*c): float(g) for c, g in self.gamma.items()}
+        self.alpha = _weights(self.alpha, "alpha", tuple, "a state")
+        self.gamma = _weights(self.gamma, "gamma", lambda c: EdgeClass(*c),
+                              "an edge class (direction, offset, step)")
         states = grid_states(self.shape)
         for u in states:
             if u not in self.alpha:
@@ -96,6 +97,24 @@ class Parametrization:
                 raise PositivityError(
                     "gamma for class %s must be non-negative and finite "
                     "(got %r)" % (c, g))
+
+
+def _weights(table, name, key_of, what):
+    """{key_of(key): float(weight)} over a weight table; DomainError names
+    the first key or weight that does not convert."""
+    out = {}
+    for key, w in table.items():
+        try:
+            key = key_of(key)
+        except TypeError:
+            raise DomainError("%s key %r is not %s"
+                              % (name, key, what)) from None
+        try:
+            out[key] = float(w)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError("%s at %s must be a real number (got %r)"
+                              % (name, key, w)) from None
+    return out
 
 
 def build_model(p, self_prob=None, absorbing=False):

@@ -32,8 +32,9 @@ from .lattice import grid_states, is_integer, require_equal_bounds
 from .model import check_self_mass
 from .param import edge_classes
 
-# residual bound for eigendecomposition contracts (reconstruction,
-# orthonormality, symmetry of the input)
+# largest max|u - u^T| that symmetric_eigen accepts as rounding (and
+# removes by symmetrizing); a block built from a parametrization is
+# symmetric exactly, so anything larger is a caller's mistake
 EIGEN_TOL = 1e-10
 # eigenvector components below this count as zero when fixing the sign:
 # block eigenvectors often have components that are exactly zero (by the
@@ -57,15 +58,6 @@ def block_decompose(p):
         u, r, x = blocks[c.direction - 1], c.offset, c.step
         u[r, r + x] = u[r + x, r] = p.gamma[c]
     return BlockDecomposition(shape, dict(p.alpha), blocks)
-
-
-def direction_operator(decomp, i):
-    """Full-size A(i), dense N x N, for the oracles in tests and demos."""
-    shape = decomp.shape
-    shape.check_directions(i)
-    factors = [np.eye(n + 1) for n in shape.dims]
-    factors[i - 1] = decomp.blocks[i - 1]
-    return reduce(np.kron, factors)
 
 
 def b_vector(decomp):
@@ -109,13 +101,9 @@ def axis_eigensystems(p):
     return decomp, [symmetric_eigen(u) for u in decomp.blocks]
 
 
-def k_step(p, k):
-    """The k-step transition matrix of the parametrized model, spectrally."""
-    return k_step_with_self(p, 0.0, k)
-
-
-def k_step_with_self(p, alpha_self, k):
-    """k-step matrix when every state also holds mass alpha_self in place.
+def k_step(p, k, alpha_self=0.0):
+    """The k-step transition matrix of the parametrized model, spectrally,
+    when every state also holds mass alpha_self in place.
 
     Only a scalar self mass is supported: a non-scalar diagonal does not
     commute with the directional matrices, so no closed form exists.

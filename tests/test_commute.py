@@ -12,10 +12,11 @@ from gbdp import (
     pair_constraints,
 )
 from gbdp import commute
-from gbdp.commute import Constraint, constraint_columns, constraint_edges
+from gbdp.commute import Constraint, constraint_columns
 from gbdp.errors import DomainError
-from gbdp.lattice import directed_edges, in_grid, shifted
+from gbdp.lattice import directed_edges, in_grid
 import oracles
+from oracles import constraint_edges, shifted
 from conftest import EXP_SHAPE, SWEEP, make_commuting_model
 
 

@@ -10,13 +10,13 @@ from gbdp import (
     IntMatrix,
     build_grid,
     directed_edges,
-    edge_between,
     integer_rank,
 )
 from gbdp.errors import DomainError, ShapeError
 from gbdp.lattice import (
-    edge_columns, edge_pairs, edge_table, in_grid, shifted)
+    edge_columns, edge_pairs, edge_table, in_grid)
 from gbdp.param import edge_classes
+from oracles import edge_between, shifted
 from conftest import class_of, grid_adjacency, grid_laplacian
 
 # q = 1, 2, 3, with and without l1 = l2

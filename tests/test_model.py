@@ -13,7 +13,6 @@ from gbdp import (
     build_model,
     commutes_direct,
     constraint_residuals,
-    directional_matrix,
     edge_classes,
     full_matrix,
     load_model,
@@ -24,6 +23,7 @@ from gbdp import (
 )
 from gbdp.errors import DomainError
 from gbdp.simulate import cdf_table
+from oracles import directional_matrix, edge_between
 from conftest import (EXP_SHAPE, SWEEP, make_commuting_model,
                       make_parametrization)
 
@@ -91,8 +91,6 @@ def test_boundary_zeros(rng):
     # no entry may land outside the band of legal jumps
     model = make_commuting_model(GridShape((3, 2), 2, 2), rng)
     shape = model.shape
-    from gbdp.lattice import build_grid, edge_between
-
     grid = build_grid(shape)
     for i in (1, 2):
         mat = directional_matrix(model, i)

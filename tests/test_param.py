@@ -249,3 +249,23 @@ def test_parametrization_container_validates_its_tables():
         Parametrization(
             EXP_SHAPE, alpha, {**gamma, EdgeClass(1, 0, 1): -0.5}
         )
+
+
+LINE = GridShape((2,), 1, 1)
+
+
+@pytest.mark.parametrize("alpha, gamma, message", [
+    ({}, {(1, 0): 1.0}, r"gamma key \(1, 0\) is not an edge class"),
+    ({}, {(1, 0, 1, 2): 1.0}, r"gamma key \(1, 0, 1, 2\) is not an edge"),
+    ({}, {"1,0,1": 1.0}, "gamma key '1,0,1' is not an edge class"),
+    ({(1,): "x"}, {}, r"alpha at \(1,\) must be a real number \(got 'x'\)"),
+    ({(1,): None}, {}, r"alpha at \(1,\) must be a real number \(got None\)"),
+    ({(1,): 10 ** 400}, {}, r"alpha at \(1,\) must be a real number"),
+], ids=["short-key", "long-key", "string-key", "string-alpha", "none-alpha",
+        "huge-alpha"])
+def test_parametrization_names_a_malformed_key_or_weight(alpha, gamma,
+                                                         message):
+    full_alpha = {u: 1.0 for u in build_grid(LINE).states}
+    full_gamma = {c: 1.0 for c in edge_classes(LINE)}
+    with pytest.raises(DomainError, match=message):
+        Parametrization(LINE, {**full_alpha, **alpha}, {**full_gamma, **gamma})
