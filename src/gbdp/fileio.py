@@ -42,6 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ._spelling import spell
 from .errors import DomainError, FormatError, PositivityError, ShapeError
 from .lattice import GridShape, edge_columns, in_grid, is_integer
 from .model import TransitionModel
@@ -50,6 +51,7 @@ from .param import Parametrization
 FORMAT_VERSION = 1
 EDGE_KEYS = ("from", "to", "prob")
 INDENT = "  "  # the writers' layout is json.dump's with indent=2
+_CHUNK_VALUES = 1 << 14  # matrix entries spelled per kernel call
 
 
 def _check_keys(obj, required, optional, what):
@@ -404,19 +406,30 @@ def write_matrix_csv(f, labels, matrix):
     "%.17g".  Labels are quoted by `csv` rules, that is in double quotes
     when they contain a comma: `"(0,1)"` but `(0)`.  Rows end in \\r\\n.
 
-    Each label is quoted once and each row is one format call, so the
-    per-entry work runs in C; rows are converted one at a time to keep
-    the Python floats of only one row alive.
+    A numpy kernel (`_spelling`) spells 0 and every 2^-30 <= |x| < 1, a
+    chunk of rows at a time, and Python's "%.17g" every other value.  Its
+    digits are exact: for |x| = m 2^e in decade E, y = |x| 10^(16 - E) =
+    m 5^s / 2^sh with sh <= 57, so the wrapping uint64 product m 5^s holds
+    floor(y) mod 128 and y's fraction, and a float estimate of y within 32
+    of it fixes floor(y) and its half-even rounding.
     """
     cells = io.StringIO()
     csv.writer(cells, lineterminator="\n").writerows(
         [state_label(u)] for u in labels)
     names = cells.getvalue().splitlines()
     f.write(",".join(["state"] + names) + "\r\n")
-    matrix = np.asarray(matrix)
-    row_format = "%s" + ",%.17g" * matrix.shape[1] + "\r\n"
-    for name, row in zip(names, matrix):
-        f.write(row_format % (name, *row.tolist()))
+    fields = [name.replace("%", "%%") for name in names]  # literal text
+    matrix = np.asarray(matrix, dtype=np.float64)
+    n_rows, n_cols = matrix.shape
+    step = max(1, _CHUNK_VALUES // max(1, n_cols))
+    for start in range(0, min(n_rows, len(names)), step):
+        rows = matrix[start:start + step]
+        text, lengths, rest = spell(rows.ravel())
+        ends = lengths.reshape(rows.shape).sum(axis=1).cumsum().tolist()
+        template = "".join(
+            name + text[a:b] + "\r\n" for name, a, b in
+            zip(fields[start:start + step], [0, *ends], ends))
+        f.write(template % tuple(rest))
 
 
 def write_frequency_csv(f, freqs, trials):

@@ -23,6 +23,7 @@ Parameters are determined up to one global constant.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,7 +102,8 @@ class Parametrization:
 
 def _weights(table, name, key_of, what):
     """{key_of(key): float(weight)} over a weight table; DomainError names
-    the first key or weight that does not convert."""
+    the first key that does not convert, or the first weight that is no
+    real number within the double range (strings and bools are none)."""
     out = {}
     for key, w in table.items():
         try:
@@ -109,11 +111,16 @@ def _weights(table, name, key_of, what):
         except TypeError:
             raise DomainError("%s key %r is not %s"
                               % (name, key, what)) from None
-        try:
-            out[key] = float(w)
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError("%s at %s must be a real number (got %r)"
-                              % (name, key, w)) from None
+        # the type test first: the numbers.Real check costs about 0.5 us
+        if type(w) is float or (isinstance(w, numbers.Real)
+                                and not isinstance(w, bool)):
+            try:
+                out[key] = float(w)
+                continue
+            except OverflowError:  # an integer beyond the double range
+                pass
+        raise DomainError("%s at %s must be a real number (got %r)"
+                          % (name, key, w))
     return out
 
 

@@ -120,7 +120,9 @@ def k_step(p, k, alpha_self=0.0):
     w = reduce(np.kron, [s.vectors for s in systems])
     lam = reduce(np.add.outer, [s.values for s in systems]).ravel()
     inner = (w * (a + lam) ** k) @ w.T
-    return b[:, None] * inner / b[None, :]
+    inner *= b[:, None]
+    inner /= b[None, :]
+    return inner
 
 
 def matrix_power(p_matrix, k):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gbdp import (
@@ -18,6 +19,7 @@ from gbdp import (
     build_grid,
     build_model,
     edge_classes,
+    k_step,
     load_model,
     load_params,
     normalize_stochastic,
@@ -403,10 +405,21 @@ CSV_ENTRIES = [(0.0, "0"), (-0.0, "-0"), (1.0, "1"),
                (1.0 / 3.0, "0.33333333333333331")]
 
 
-@pytest.mark.parametrize("dims", [(3,), (2, 1), (1, 1, 1)])
-def test_matrix_csv_bytes_equal_the_per_entry_csv_writer(tmp_path, dims):
-    labels = build_grid(GridShape(dims, 1, 1)).states
-    matrix = np.resize([x for x, _ in CSV_ENTRIES], (len(labels),) * 2)
+@pytest.mark.parametrize("dims, l, k", [
+    ((3,), 1, None), ((2, 1), 1, None), ((1, 1, 1), 1, None),
+    ((5, 5, 5), 2, 30), ((5, 5, 5), 2, 0), ((12, 12), 4, 30),
+    ((12, 12), 4, 0),
+], ids=["dims0", "dims1", "dims2", "kstep-5x5x5-k30", "kstep-5x5x5-k0",
+        "kstep-12x12-k30", "kstep-12x12-k0"])
+def test_matrix_csv_bytes_equal_the_per_entry_csv_writer(tmp_path, rng, dims,
+                                                         l, k):
+    shape = GridShape(dims, l, l)
+    labels = build_grid(shape).states
+    if k is None:  # every "%.17g" form
+        matrix = np.resize([x for x, _ in CSV_ENTRIES], (len(labels),) * 2)
+    else:
+        matrix = k_step(normalize_stochastic(make_parametrization(shape, rng)),
+                        k)
     paths = tmp_path / "fast.csv", tmp_path / "oracle.csv"
     for path, write in zip(paths, (write_matrix_csv, oracle_matrix_csv)):
         with open(path, "w", newline="") as f:
@@ -415,9 +428,54 @@ def test_matrix_csv_bytes_equal_the_per_entry_csv_writer(tmp_path, dims):
     assert fast == oracle
     assert fast.count(b"\r\n") == fast.count(b"\n") == len(labels) + 1
     assert (b'"' in fast) == (len(dims) > 1)  # labels with a comma
-    rows = list(csv.reader(io.StringIO(fast.decode(), newline="")))
-    assert {text for _, text in CSV_ENTRIES} <= {
-        cell for row in rows[1:] for cell in row[1:]}
+    if k is None:
+        rows = list(csv.reader(io.StringIO(fast.decode(), newline="")))
+        assert {text for _, text in CSV_ENTRIES} <= {
+            cell for row in rows[1:] for cell in row[1:]}
+
+
+def _entries(values):
+    """The entries write_matrix_csv writes for one row of values, and
+    "%.17g" of each value."""
+    buf = io.StringIO()
+    write_matrix_csv(buf, [(0,)], np.array([values], dtype=float))
+    header, row, end = buf.getvalue().split("\r\n")
+    assert (header, end) == ("state,(0)", "")
+    return row.split(",")[1:], ["%.17g" % x for x in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(),
+                          st.floats(-1.0, 1.0, exclude_min=True,
+                                    exclude_max=True)),
+                min_size=1, max_size=40))
+def test_matrix_csv_spells_every_float_as_percent_17g(values):
+    written, expected = _entries(values)
+    assert written == expected
+
+
+def _ulps_around(x, n):
+    """The 2n + 1 doubles from n ulps below x to n ulps above."""
+    return (np.float64(x).view(np.int64)
+            + np.arange(-n, n + 1)).view(np.float64)
+
+
+# the kernel spells 0 and 2^-30 <= |x| < 1; Python spells the rest
+KERNEL_SWEEPS = {
+    "powers of ten": np.concatenate(
+        [_ulps_around(10.0 ** k, 2000) for k in range(-10, 1)]),
+    "ties": np.concatenate(
+        [np.arange(1, 5000, 2) * 2.0 ** -j for j in range(15, 64)]),
+    "domain ends": np.concatenate(
+        [_ulps_around(2.0 ** -30, 50), _ulps_around(1.0, 50), [0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_SWEEPS)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_matrix_csv_sweeps_equal_percent_17g(name, sign):
+    written, expected = _entries(sign * KERNEL_SWEEPS[name])
+    assert written == expected
 
 
 def test_frequency_csv_puts_the_sink_last():

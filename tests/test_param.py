@@ -261,11 +261,26 @@ LINE = GridShape((2,), 1, 1)
     ({(1,): "x"}, {}, r"alpha at \(1,\) must be a real number \(got 'x'\)"),
     ({(1,): None}, {}, r"alpha at \(1,\) must be a real number \(got None\)"),
     ({(1,): 10 ** 400}, {}, r"alpha at \(1,\) must be a real number"),
+    ({(1,): "2"}, {}, r"alpha at \(1,\) must be a real number \(got '2'\)"),
+    ({}, {(1, 0, 1): "0.5"}, r"gamma at EdgeClass\(direction=1, offset=0, "
+     r"step=1\) must be a real number \(got '0.5'\)"),
+    ({(1,): True}, {}, r"alpha at \(1,\) must be a real number \(got True\)"),
+    ({}, {(1, 1, 1): False}, r"gamma at .* must be a real number \(got "
+     r"False\)"),
 ], ids=["short-key", "long-key", "string-key", "string-alpha", "none-alpha",
-        "huge-alpha"])
+        "huge-alpha", "numeric-string-alpha", "numeric-string-gamma",
+        "bool-alpha", "bool-gamma"])
 def test_parametrization_names_a_malformed_key_or_weight(alpha, gamma,
                                                          message):
     full_alpha = {u: 1.0 for u in build_grid(LINE).states}
     full_gamma = {c: 1.0 for c in edge_classes(LINE)}
     with pytest.raises(DomainError, match=message):
         Parametrization(LINE, {**full_alpha, **alpha}, {**full_gamma, **gamma})
+
+
+def test_parametrization_takes_numpy_scalars_as_floats():
+    alpha = {u: np.float64(1.5) for u in build_grid(LINE).states}
+    gamma = {c: np.int64(2) for c in edge_classes(LINE)}
+    p = Parametrization(LINE, alpha, gamma)
+    assert {type(w) for w in [*p.alpha.values(), *p.gamma.values()]} == {float}
+    assert set(p.alpha.values()) == {1.5} and set(p.gamma.values()) == {2.0}
