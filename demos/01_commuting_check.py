@@ -35,17 +35,18 @@ p = Parametrization(
 model = build_model(p)
 print("states:", len(grid), " edges:", len(model.probs))
 
-# route one: multiply the dense matrices and look at P_1 P_2 - P_2 P_1
+# the commutator P_1 P_2 - P_2 P_1: each nonzero entry is one constraint
+# residual below, so commutes_direct reports the largest with no matrix
 ok, residual = commutes_direct(model, 1, 2)
 print("matrix commutator residual: %.3e -> %s" % (residual, ok))
 
-# route two: every 2x2 rectangle of moves gives a bilinear constraint
+# the constraints: every 2x2 rectangle of moves gives a bilinear identity
 # p(u,a) p(a,w) = p(u,b) p(b,w); all of them must vanish
 residuals = constraint_residuals(model, 1, 2)
 worst = max(abs(r) for _, r in residuals)
 print("%d constraints, worst residual: %.3e" % (len(residuals), worst))
 
-# now damage one edge and watch both routes fail together
+# now damage one edge and watch the check fail
 probs = dict(model.probs)
 probs[((0, 0), (1, 0))] *= 0.5
 broken = TransitionModel(shape, probs)

@@ -1,18 +1,17 @@
-"""Commutation tests for directional transition matrices.
+"""Commutation test for directional transition matrices.
 
-Two routes are provided and kept deliberately independent:
+One route: per-constraint residuals.  An entry (s, t) of P_i P_j has at
+most one nonzero term, the path that moves along i first, so an entry of
+P_i P_j - P_j P_i is that path's product minus the product of the path
+that moves along j first.  That difference is the residual of exactly one
+constraint below, computed with the same floating-point operations, so
+commutes_direct, the maximum absolute residual, equals max-abs of the
+dense commutator bit for bit with no N x N matrix.  The dense commutator
+in tests/oracles.py is the independent oracle.
 
-* commutes_direct measures max-abs(P_i P_j - P_j P_i) from a join of the
-  edge table with itself: every two-step path of an i-edge then a j-edge,
-  or a j-edge then an i-edge, grouped by its two ends.  It reads only the
-  edges' src, dst and direction, never the move lookup the constraints
-  use, and needs memory O(E l) for E edges, not O(N^2).  The join depends
-  only on the shape and the pair, so it is cached like the edge table;
-* constraint_residuals evaluates the bilinear two-step identities whose
-  joint vanishing is equivalent to commutation.
-
-Both read edges as columns of the edge table.  The dense commutator and the
-constraints' edges spelled out as coordinate pairs are test oracles.
+The constraints of a pair are edge columns of the edge table, cached per
+shape and pair like the edge table.  The constraints' edges spelled out as
+coordinate pairs are a test oracle.
 
 Each constraint compares the two orders of a pair of jumps: one of signed
 size a along direction i, one of signed size b along direction j.  With
@@ -55,8 +54,15 @@ class Constraint(NamedTuple):
 
 def constraint_columns(shape, i, j):
     """Edge columns (left1, left2, right1, right2) of the constraints of
-    the direction pair (i, j), one array each, in pair_constraints order."""
+    the direction pair (i, j), one read-only array each, in
+    pair_constraints order."""
     shape.check_directions(i, j)
+    return _pair_columns(shape, int(i), int(j))
+
+
+@lru_cache(maxsize=16)
+def _pair_columns(shape, i, j):
+    """constraint_columns of a checked pair (i, j) of plain ints."""
     t = edge_table(shape)
     lmax = max(shape.l1, shape.l2)
     # lookup slots of (step_i, step_j): by family (signs), then by sizes
@@ -68,7 +74,10 @@ def constraint_columns(shape, i, j):
     left1, right1 = first_i[base, k], first_j[base, k]
     left2 = t.column[t.dst[left1], j - 1, slot_j[k]]
     right2 = t.column[t.dst[right1], i - 1, slot_i[k]]
-    return left1, left2, right1, right2
+    columns = left1, left2, right1, right2
+    for a in columns:
+        a.flags.writeable = False
+    return columns
 
 
 def constraint_labels(shape, left1, right1):
@@ -118,55 +127,11 @@ def constraint_residuals(model, i, j):
                     _residuals(model, columns).tolist()))
 
 
-def _two_step_paths(t, first, second):
-    """(start, end, head, tail) of every path of a `first`-direction edge
-    column `head` followed by a `second`-direction edge column `tail`."""
-    a = np.flatnonzero(t.direction == first)
-    b = np.flatnonzero(t.direction == second)
-    # edge columns are in src order, so the b-edges out of state s are
-    # b[offset[s]:offset[s + 1]]
-    offset = np.concatenate(
-        ([0], np.cumsum(np.bincount(t.src[b], minlength=len(t.coords)))))
-    mid = t.dst[a]
-    count = offset[mid + 1] - offset[mid]
-    head = np.repeat(a, count)
-    # the k-th path of an a-edge takes the k-th b-edge out of its dst
-    shift = np.repeat(offset[mid] - np.cumsum(count) + count, count)
-    tail = b[np.arange(len(head)) + shift]
-    return t.src[head], t.dst[tail], head, tail
-
-
-@lru_cache(maxsize=16)
-def _commutator_paths(shape, i, j):
-    """Edge columns of the two-step paths of every entry (s, e) of
-    P_i P_j - P_j P_i that one reaches, as a read-only (2, 2, entries)
-    array: [0] the path along i then j, [1] along j then i, each as (head,
-    tail) columns; -1 where the entry has no such path."""
-    t = edge_table(shape)
-    paths = _two_step_paths(t, i, j), _two_step_paths(t, j, i)
-    start, end, head, tail = (np.concatenate(x) for x in zip(*paths))
-    order = np.lexsort((end, start))
-    start, end = start[order], end[order]
-    entry = np.cumsum(np.concatenate(
-        ([True], (start[1:] != start[:-1]) | (end[1:] != end[:-1])))) - 1
-    side = (order >= len(paths[0][0])).astype(int)
-    out = np.full((2, 2, entry[-1] + 1), -1)
-    out[side, 0, entry] = head[order]
-    out[side, 1, entry] = tail[order]
-    out.flags.writeable = False
-    return out
-
-
 def commutes_direct(model, i, j, tol=DEFAULT_TOL):
     """(bool, max residual) for max-abs(P_i P_j - P_j P_i) <= tol.
 
-    An entry (s, e) of P_i P_j has at most one nonzero term, the path that
-    moves along i first, so the commutator entry is that path's product
-    minus the product of the path that moves along j first: exactly what
-    the dense products give, with no N x N matrix.
+    The max residual is the largest absolute constraint residual of the
+    pair, which equals max-abs of the commutator bit for bit.
     """
-    model.shape.check_directions(i, j)
-    (h1, t1), (h2, t2) = _commutator_paths(model.shape, i, j)
-    p = np.append(model.edge_prob, 0.0)  # column -1 has probability 0
-    residual = float(np.abs(p[h1] * p[t1] - p[h2] * p[t2]).max())
+    residual = float(np.abs(pair_residuals(model, i, j)).max())
     return residual <= tol, residual

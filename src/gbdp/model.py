@@ -20,7 +20,6 @@ order; only the dense k-step power needs it.  No production route forms a
 single P_i: the dense P_i are test oracles.
 """
 
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lattice import (edge_columns, edge_pairs, edge_table, grid_states,
-                      in_grid)
+                      in_grid, is_real)
 
 # absolute tolerance for the "row sum = 1" check; all arithmetic is double
 # precision and grids are small
@@ -111,8 +110,7 @@ class TransitionModel:
 def check_self_mass(alpha_self):
     """alpha_self as a float; DomainError unless it is a real number, not
     a bool, in [0, 1)."""
-    real = isinstance(alpha_self, numbers.Real)
-    if not real or isinstance(alpha_self, bool):
+    if not is_real(alpha_self):
         raise DomainError("self mass must be a real number, got %r"
                           % (alpha_self,))
     a = float(alpha_self)

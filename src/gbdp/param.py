@@ -23,15 +23,14 @@ Parameters are determined up to one global constant.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, PositivityError
-from .lattice import (edge_pairs, edge_table, grid_states, move_slot,
-                      require_equal_bounds)
+from .lattice import (edge_pairs, edge_table, grid_states, is_real,
+                      move_slot, require_equal_bounds)
 from .model import TransitionModel
 
 # relative tolerance for the agreement of a class's edges: beta is a
@@ -111,16 +110,10 @@ def _weights(table, name, key_of, what):
         except TypeError:
             raise DomainError("%s key %r is not %s"
                               % (name, key, what)) from None
-        # the type test first: the numbers.Real check costs about 0.5 us
-        if type(w) is float or (isinstance(w, numbers.Real)
-                                and not isinstance(w, bool)):
-            try:
-                out[key] = float(w)
-                continue
-            except OverflowError:  # an integer beyond the double range
-                pass
-        raise DomainError("%s at %s must be a real number (got %r)"
-                          % (name, key, w))
+        if not is_real(w):
+            raise DomainError("%s at %s must be a real number (got %r)"
+                              % (name, key, w))
+        out[key] = float(w)
     return out
 
 

@@ -116,6 +116,8 @@ def k_step(p, k, alpha_self=0.0):
     a = check_self_mass(alpha_self)
     k = _check_power(k)
     decomp, systems = axis_eigensystems(p)
+    if k == 0:  # the closed form gives I only up to rounding
+        return np.eye(p.shape.n_states)
     b = b_vector(decomp)
     w = reduce(np.kron, [s.vectors for s in systems])
     lam = reduce(np.add.outer, [s.values for s in systems]).ravel()

@@ -1,4 +1,5 @@
-"""Dual-route commutation checks."""
+"""The commutation check: constraint enumeration and residuals, and
+commutes_direct against the dense commutator of tests/oracles.py."""
 
 import numpy as np
 import pytest
@@ -93,7 +94,9 @@ def oracle_models(shape, rng):
                                      for probs in (perturbed, deleted, illegal)]
 
 
-@pytest.mark.parametrize("shape", SWEEP)
+@pytest.mark.parametrize("shape", SWEEP + [
+    GridShape((3, 2), 2, 1), GridShape((2, 3), 1, 2),
+    GridShape((2, 2, 2), 2, 1)])
 def test_sparse_commutator_equals_the_dense_oracle_bit_for_bit(shape, rng):
     models = oracle_models(shape, rng)
     assert models[-1].illegal

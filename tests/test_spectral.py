@@ -134,7 +134,8 @@ def test_eigensystem_rejects_bad_input():
 
 def test_zero_steps_is_the_identity(rng):
     p = make_parametrization(EXP_SHAPE, rng)
-    assert np.abs(k_step(p, 0) - np.eye(9)).max() <= 1e-12
+    assert np.array_equal(k_step(p, 0), np.eye(9))
+    assert np.array_equal(k_step(p, 0, 0.3), np.eye(9))
 
 
 def test_one_step_is_the_model_matrix(rng):
