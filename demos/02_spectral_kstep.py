@@ -36,7 +36,7 @@ raw = Parametrization(
 p = normalize_stochastic(raw)  # rescale so every row sums to 1
 
 # the two 3x3 blocks: symmetric, zero diagonal, bandwidth 2
-for i, block in enumerate(block_decompose(p).blocks, start=1):
+for i, block in enumerate(block_decompose(p), start=1):
     print("block for direction %d:" % i)
     print(np.round(block, 4))
 

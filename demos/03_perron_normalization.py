@@ -53,25 +53,26 @@ flat = Parametrization(
     {u: 1.0 for u in grid.states},
     {c: 1.0 for c in edge_classes(shape)},
 )
-decomp = block_decompose(flat)
-block_roots = [symmetric_eigen(u).values[-1] for u in decomp.blocks]
+blocks = block_decompose(flat)
+block_roots = [symmetric_eigen(u).values[-1] for u in blocks]
 print("per-axis block roots: %s, sum %.12f"
       % (" + ".join("%.12f" % r for r in block_roots), sum(block_roots)))
 weights = normalize_stochastic(flat).alpha.values()
 print("normalized vertex weights (reciprocal Perron vector): spread %.1e"
       % (max(weights) - min(weights)))
-u1, u2 = decomp.blocks
+u1, u2 = blocks
 m = np.kron(u1, np.eye(len(u2))) + np.kron(np.eye(len(u1)), u2)
 print("dense eigensolver on the 9x9 Kronecker sum agrees: %.12f"
       % np.linalg.eigvalsh(m).max())
 
 # reducible patterns are refused rather than silently normalized
+line = GridShape((2,), 1, 1)
+bridge = edge_classes(line)[-1]
 broken = Parametrization(
-    GridShape((2,), 1, 1),
+    line,
     {(k,): 1.0 for k in range(3)},
-    {c: 1.0 for c in edge_classes(GridShape((2,), 1, 1))},
+    {c: 0.0 if c == bridge else 1.0 for c in edge_classes(line)},
 )
-broken.gamma[list(broken.gamma)[-1]] = 0.0
 try:
     normalize_stochastic(broken)
 except Exception as exc:

@@ -58,7 +58,6 @@ from .param import (
 )
 from .simulate import empirical_kstep
 from .spectral import (
-    BlockDecomposition,
     EigenSystem,
     block_decompose,
     k_step,

@@ -146,9 +146,9 @@ class Edge(NamedTuple):
 
 
 def in_grid(shape, u):
-    """Whether u is a state: q whole-number coordinates within bounds."""
+    """Whether u is a state: q whole real numbers (no bools) within bounds."""
     return len(u) == shape.q and all(
-        isinstance(c, numbers.Real) and c % 1 == 0 and 0 <= c <= n
+        is_real(c) and c % 1 == 0 and 0 <= c <= n
         for c, n in zip(u, shape.dims)
     )
 

@@ -11,6 +11,9 @@ smaller endpoint offset r along that direction, and the jump size x
 (r + x <= n_i); edges differing only in the perpendicular coordinates share
 their Gamma.
 
+A Parametrization is a read-only value, checked once; it also holds its
+weights as arrays, which build_model, the blocks and k_step read.
+
 build_model evaluates the formula; recover_params inverts it via the
 reversible measure beta (path products of forward over backward
 probabilities), with alpha_u = beta_u^(-1/2), gauged to beta = 1 at the
@@ -23,7 +26,9 @@ Parameters are determined up to one global constant.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -52,10 +57,12 @@ def edge_classes(shape):
     return [EdgeClass(*c) for c in edge_table(shape).classes.tolist()]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Parametrization:
     """alpha: state -> finite positive weight; gamma: EdgeClass -> finite
-    non-negative weight.
+    non-negative weight; both read-only, and held again as read-only arrays,
+    alpha_vector in lattice order and gamma_vector in edge_classes order.
+    To change a weight, build Parametrization(shape, alpha, {**gamma, c: g}).
 
     A zero gamma drops the edges of that class from generated models (such
     models may fail irreducibility checks downstream); strictly positive
@@ -63,40 +70,46 @@ class Parametrization:
     """
 
     shape: object
-    alpha: dict
-    gamma: dict
+    alpha: Mapping
+    gamma: Mapping
+    alpha_vector: np.ndarray = field(init=False, repr=False, compare=False)
+    gamma_vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.alpha = _weights(self.alpha, "alpha", tuple, "a state")
-        self.gamma = _weights(self.gamma, "gamma", lambda c: EdgeClass(*c),
-                              "an edge class (direction, offset, step)")
+        alpha = _weights(self.alpha, "alpha", tuple, "a state")
+        gamma = _weights(self.gamma, "gamma", lambda c: EdgeClass(*c),
+                         "an edge class (direction, offset, step)")
         states = grid_states(self.shape)
         for u in states:
-            if u not in self.alpha:
+            if u not in alpha:
                 raise DomainError("alpha missing entry for state %s" % (u,))
-            if not 0.0 < self.alpha[u] < math.inf:
+            if not 0.0 < alpha[u] < math.inf:
                 raise PositivityError(
                     "alpha at %s must be strictly positive and finite (got %r)"
-                    % (u, self.alpha[u])
+                    % (u, alpha[u])
                 )
-        if len(self.alpha) != len(states):
-            extra = set(self.alpha) - set(states)
+        if len(alpha) != len(states):
+            raise DomainError("alpha has entries for off-grid states: %s"
+                              % sorted(alpha.keys() - set(states)))
+        classes = edge_classes(self.shape)
+        wanted = set(classes)
+        if gamma.keys() != wanted:
             raise DomainError(
-                "alpha has entries for off-grid states: %s" % sorted(extra)
-            )
-        wanted = set(edge_classes(self.shape))
-        if set(self.gamma) != wanted:
-            missing = sorted(wanted - set(self.gamma))
-            extra = sorted(set(self.gamma) - wanted)
-            raise DomainError(
-                "gamma must have exactly one entry per edge class "
-                "(missing %s, extra %s)" % (missing, extra)
-            )
-        for c, g in self.gamma.items():
+                "gamma must have exactly one entry per edge class (missing "
+                "%s, extra %s)" % (sorted(wanted - gamma.keys()),
+                                   sorted(gamma.keys() - wanted)))
+        for c, g in gamma.items():
             if not 0.0 <= g < math.inf:
                 raise PositivityError(
                     "gamma for class %s must be non-negative and finite "
                     "(got %r)" % (c, g))
+        a = np.fromiter(map(alpha.__getitem__, states), float, len(states))
+        g = np.fromiter(map(gamma.__getitem__, classes), float, len(classes))
+        a.flags.writeable = g.flags.writeable = False
+        object.__setattr__(self, "alpha", MappingProxyType(alpha))
+        object.__setattr__(self, "gamma", MappingProxyType(gamma))
+        object.__setattr__(self, "alpha_vector", a)
+        object.__setattr__(self, "gamma_vector", g)
 
 
 def _weights(table, name, key_of, what):
@@ -123,9 +136,8 @@ def build_model(p, self_prob=None, absorbing=False):
     Raw outputs need not be sub-stochastic; Perron rescaling makes them so.
     Classes with gamma = 0 contribute no edge.
     """
-    t = edge_table(p.shape)
-    alpha = np.array([p.alpha[u] for u in grid_states(p.shape)])
-    gamma = np.array([p.gamma[c] for c in edge_classes(p.shape)])[t.cls]
+    t, alpha = edge_table(p.shape), p.alpha_vector
+    gamma = p.gamma_vector[t.cls]
     columns = np.flatnonzero(gamma != 0.0)
     prob = alpha[t.src[columns]] * gamma[columns] / alpha[t.dst[columns]]
     return TransitionModel._of_columns(p.shape, columns, prob, self_prob,

@@ -80,6 +80,10 @@ def _require_samplable(model):
     if bad.size:
         raise DomainError("cannot sample: row mass %r at %s is not finite"
                           % (float(mass[bad[0]]), state(bad[0])))
+    bad = np.flatnonzero(model.self_mass < 0.0)
+    if bad.size:  # a negative mass makes a CDF row fall
+        raise DomainError("cannot sample: self mass %r at %s outside [0, 1]"
+                          % (float(model.self_mass[bad[0]]), state(bad[0])))
     bad_hi = float(mass.max())
     if bad_hi > 1.0 + ROW_SUM_TOL:
         raise DomainError(

@@ -2,10 +2,11 @@
 
 For a parametrized model with equal jump bounds l1 = l2, each directional
 matrix factors as P_i = B A(i) B^-1 where B is the diagonal of vertex
-weights and A(i) acts on coordinate i alone: it is the Kronecker product
-I x ... x U(i) x ... x I with one copy of a symmetric banded block U(i) of
-size n_i + 1 in slot i.  The block entries are the edge weights,
-U(i)[r, r+x] = gamma(i, r, x), zero on the diagonal and beyond bandwidth l.
+weights (the parametrization's alpha_vector) and A(i) acts on coordinate i
+alone: it is the Kronecker product I x ... x U(i) x ... x I with one copy
+of a symmetric banded block U(i) of size n_i + 1 in slot i.  The block
+entries are the edge weights, U(i)[r, r+x] = gamma(i, r, x), zero on the
+diagonal and beyond bandwidth l; block_decompose returns just the blocks.
 
 Because the A(i) act on disjoint tensor slots, the full k-step matrix has
 the closed form
@@ -28,41 +29,24 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, UnsupportedConfigError
-from .lattice import grid_states, is_integer, require_equal_bounds
+from .lattice import edge_table, is_integer, require_equal_bounds
 from .model import check_self_mass
-from .param import edge_classes
 
-# largest max|u - u^T| that symmetric_eigen accepts as rounding (and
-# removes by symmetrizing); a block built from a parametrization is
-# symmetric exactly, so anything larger is a caller's mistake
-EIGEN_TOL = 1e-10
 # eigenvector components below this count as zero when fixing the sign:
 # block eigenvectors often have components that are exactly zero (by the
 # block's symmetry) but come out of eigh as rounding noise of either sign
 SIGN_LEAD_TOL = 1e-8
 
 
-@dataclass
-class BlockDecomposition:
-    shape: object
-    b: dict  # state -> positive diagonal entry of B (the vertex weights)
-    blocks: list  # blocks[i-1]: symmetric banded matrix of size n_i + 1
-
-
 def block_decompose(p):
-    """Blocks and conjugating diagonal for a parametrization with l1 = l2."""
-    shape = p.shape
-    require_equal_bounds(shape, "the symmetric block decomposition")
-    blocks = [np.zeros((n + 1, n + 1)) for n in shape.dims]
-    for c in edge_classes(shape):
-        u, r, x = blocks[c.direction - 1], c.offset, c.step
-        u[r, r + x] = u[r + x, r] = p.gamma[c]
-    return BlockDecomposition(shape, dict(p.alpha), blocks)
-
-
-def b_vector(decomp):
-    """Diagonal of B in lattice index order."""
-    return np.array([decomp.b[u] for u in grid_states(decomp.shape)])
+    """The blocks [U(1), ..., U(q)] of a parametrization with l1 = l2:
+    U(i) is symmetric, of size n_i + 1, with U(i)[r, r+x] = gamma(i, r, x)."""
+    require_equal_bounds(p.shape, "the symmetric block decomposition")
+    blocks = [np.zeros((n + 1, n + 1)) for n in p.shape.dims]
+    for (i, r, x), g in zip(edge_table(p.shape).classes.tolist(),
+                            p.gamma_vector.tolist()):
+        blocks[i - 1][r, r + x] = blocks[i - 1][r + x, r] = g
+    return blocks
 
 
 @dataclass
@@ -72,7 +56,7 @@ class EigenSystem:
 
 
 def symmetric_eigen(u):
-    """Eigensystem of a symmetric matrix.
+    """Eigensystem of a matrix that is symmetric bit for bit.
 
     Eigenvalues ascending; each eigenvector's sign is fixed by making its
     first non-negligible component positive, so output is deterministic.
@@ -80,13 +64,10 @@ def symmetric_eigen(u):
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError("expected a square matrix, got shape %s" % (u.shape,))
-    if u.size and float(np.abs(u - u.T).max()) > EIGEN_TOL:
-        raise DomainError(
-            "matrix is not symmetric within %g (max asymmetry %g)"
-            % (EIGEN_TOL, float(np.abs(u - u.T).max()))
-        )
-    values, vectors = np.linalg.eigh((u + u.T) / 2.0)
-    vectors = vectors.copy()
+    if not np.array_equal(u, u.T):
+        raise DomainError("matrix is not symmetric (max asymmetry %g)"
+                          % float(np.abs(u - u.T).max()))
+    values, vectors = np.linalg.eigh(u)
     for r in range(vectors.shape[1]):
         col = vectors[:, r]
         lead = np.flatnonzero(np.abs(col) > SIGN_LEAD_TOL)
@@ -96,9 +77,9 @@ def symmetric_eigen(u):
 
 
 def axis_eigensystems(p):
-    """Block decomposition of p and the eigensystem of each of its blocks."""
-    decomp = block_decompose(p)
-    return decomp, [symmetric_eigen(u) for u in decomp.blocks]
+    """The blocks of p and the eigensystem of each."""
+    blocks = block_decompose(p)
+    return blocks, [symmetric_eigen(u) for u in blocks]
 
 
 def k_step(p, k, alpha_self=0.0):
@@ -115,15 +96,14 @@ def k_step(p, k, alpha_self=0.0):
         )
     a = check_self_mass(alpha_self)
     k = _check_power(k)
-    decomp, systems = axis_eigensystems(p)
+    _, systems = axis_eigensystems(p)
     if k == 0:  # the closed form gives I only up to rounding
         return np.eye(p.shape.n_states)
-    b = b_vector(decomp)
     w = reduce(np.kron, [s.vectors for s in systems])
     lam = reduce(np.add.outer, [s.values for s in systems]).ravel()
     inner = (w * (a + lam) ** k) @ w.T
-    inner *= b[:, None]
-    inner /= b[None, :]
+    inner *= p.alpha_vector[:, None]
+    inner /= p.alpha_vector[None, :]
     return inner
 
 

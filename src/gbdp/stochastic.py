@@ -52,8 +52,8 @@ def normalize_stochastic(p, alpha_self=0.0):
     scalar self mass makes it exactly stochastic.
     """
     a = check_self_mass(alpha_self)
-    decomp, systems = axis_eigensystems(p)
-    if not all(_strongly_connected(u) for u in decomp.blocks):
+    blocks, systems = axis_eigensystems(p)
+    if not all(_strongly_connected(u) for u in blocks):
         raise StructureError(
             "weight matrix is reducible (a direction's block is disconnected)"
         )

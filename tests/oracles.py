@@ -11,6 +11,7 @@ import numpy as np
 from gbdp.commute import DEFAULT_TOL
 from gbdp.errors import DomainError, StructureError
 from gbdp.lattice import Edge, edge_table, in_grid
+from gbdp.spectral import block_decompose
 from gbdp.stochastic import _strongly_connected
 
 # successive-iterate threshold and iteration cap of perron's power method
@@ -69,13 +70,13 @@ def directional_matrix(model, i):
     return out
 
 
-def direction_operator(decomp, i):
-    """Dense N x N A(i) of a spectral.BlockDecomposition: the Kronecker
-    product of identities with block i in slot i."""
-    shape = decomp.shape
+def direction_operator(p, i):
+    """Dense N x N A(i) of a parametrization: the Kronecker product of
+    identities with its block i in slot i."""
+    shape = p.shape
     shape.check_directions(i)
     factors = [np.eye(n + 1) for n in shape.dims]
-    factors[i - 1] = decomp.blocks[i - 1]
+    factors[i - 1] = block_decompose(p)[i - 1]
     return reduce(np.kron, factors)
 
 

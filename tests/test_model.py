@@ -8,6 +8,7 @@ import pytest
 import gbdp.model
 from gbdp import (
     GridShape,
+    Parametrization,
     TransitionModel,
     build_grid,
     build_model,
@@ -232,7 +233,8 @@ def test_models_that_carry_columns_equal_the_model_of_their_dict(shape,
                                                                  tmp_path):
     rng = np.random.default_rng(shape.n_states)
     p = make_parametrization(shape, rng, low=0.2, high=0.4)
-    p.gamma[edge_classes(shape)[-1]] = 0.0  # a class with no edges
+    p = Parametrization(shape, p.alpha, {  # a class with no edges
+        **p.gamma, edge_classes(shape)[-1]: 0.0})
     table = {u: float(rng.uniform(0.0, 0.2)) for u in build_grid(shape).states}
     path = tmp_path / "m.json"
     for self_prob in (None, 0.25, table):

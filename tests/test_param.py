@@ -89,7 +89,7 @@ def test_three_directions_commute_pairwise(rng):
 
 def test_zero_gamma_class_drops_its_edges(rng):
     p = make_parametrization(EXP_SHAPE, rng)
-    p.gamma[EdgeClass(1, 0, 2)] = 0.0
+    p = Parametrization(p.shape, p.alpha, {**p.gamma, EdgeClass(1, 0, 2): 0.0})
     model = build_model(p)
     assert model.p((0, 0), (2, 0)) == 0.0
     assert model.p((2, 1), (0, 1)) == 0.0

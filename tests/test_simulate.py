@@ -150,7 +150,9 @@ def test_sampling_guards():
             ({((0,), (1,)): 1.2, ((0,), (2,)): -0.2}, None,
              r"probability 1.2 on edge \(0,\)->\(1,\) outside \[0, 1\]"),
             ({((0,), (1,)): nan}, None, "probability nan on edge"),
-            ({}, {(0,): nan}, r"row mass nan at \(0,\) is not finite")):
+            ({}, {(0,): nan}, r"row mass nan at \(0,\) is not finite"),
+            ({((0,), (1,)): 0.8}, {(0,): -0.2},
+             r"self mass -0.2 at \(0,\) outside \[0, 1\]")):
         model = TransitionModel(shape, {**rows, **edit}, self_prob)
         with pytest.raises(DomainError, match="cannot sample: " + message):
             empirical_kstep(model, (0,), 1, 10, seed=0)
@@ -166,7 +168,7 @@ def test_sampling_guards():
     for seed in (1.5, 5.0, True, "5", None):
         with pytest.raises(DomainError, match="seed must be an integer"):
             empirical_kstep(CHAIN, (0,), 1, 10, seed=seed)
-    for start in ((9,), (0.5,), (0, 0), ("0",), 5):
+    for start in ((9,), (0.5,), (0, 0), ("0",), (True,), 5):
         with pytest.raises(DomainError, match="not on the grid"):
             empirical_kstep(CHAIN, start, 1, 10, seed=0)
 

@@ -1,5 +1,7 @@
 """Block decomposition, small-block eigensystems, closed-form k-step matrices."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from gbdp import (
 )
 from gbdp.errors import DomainError, UnsupportedConfigError
 from gbdp.param import EdgeClass
-from gbdp.spectral import b_vector
 from oracles import direction_operator, directional_matrix
 from conftest import EXP_SHAPE, make_commuting_model, make_parametrization
 
@@ -26,7 +27,7 @@ from conftest import EXP_SHAPE, make_commuting_model, make_parametrization
 def test_block_entries_are_the_class_weights(rng):
     p = make_parametrization(EXP_SHAPE, rng)
     g = p.gamma
-    u1 = block_decompose(p).blocks[0]
+    u1 = block_decompose(p)[0]
     expected = np.array([
         [0.0, g[EdgeClass(1, 0, 1)], g[EdgeClass(1, 0, 2)]],
         [g[EdgeClass(1, 0, 1)], 0.0, g[EdgeClass(1, 1, 1)]],
@@ -37,8 +38,7 @@ def test_block_entries_are_the_class_weights(rng):
 
 def test_block_sizes_and_bandwidth(rng):
     shape = GridShape((3, 2), 2, 2)
-    decomp = block_decompose(make_parametrization(shape, rng))
-    u1, u2 = decomp.blocks
+    u1, u2 = block_decompose(make_parametrization(shape, rng))
     assert u1.shape == (4, 4) and u2.shape == (3, 3)
     assert np.array_equal(u1, u1.T)
     assert u1[0, 3] == 0.0 and u1[3, 0] == 0.0
@@ -65,37 +65,44 @@ def test_direction_operators_conjugate_to_the_model(rng):
         shape = GridShape(dims, l, l)
         p = make_parametrization(shape, rng)
         model = build_model(p)
-        decomp = block_decompose(p)
-        b = b_vector(decomp)
+        b = p.alpha_vector
         for i in range(1, shape.q + 1):
-            conj = b[:, None] * direction_operator(decomp, i) / b[None, :]
+            conj = b[:, None] * direction_operator(p, i) / b[None, :]
             assert np.abs(conj - directional_matrix(model, i)).max() <= 1e-12
 
 
 def test_direction_operator_is_a_kronecker_factor(rng):
     p = make_parametrization(EXP_SHAPE, rng)
-    decomp = block_decompose(p)
+    u1, u2 = block_decompose(p)
     eye = np.eye(3)
-    assert np.array_equal(
-        direction_operator(decomp, 1), np.kron(decomp.blocks[0], eye)
-    )
-    assert np.array_equal(
-        direction_operator(decomp, 2), np.kron(eye, decomp.blocks[1])
-    )
+    assert np.array_equal(direction_operator(p, 1), np.kron(u1, eye))
+    assert np.array_equal(direction_operator(p, 2), np.kron(eye, u2))
     for i in (3, 1.5, True):
         with pytest.raises(DomainError, match="outside 1..2"):
-            direction_operator(decomp, i)
+            direction_operator(p, i)
 
 
 def test_b_vector_follows_state_order(rng):
     p = make_parametrization(EXP_SHAPE, rng)
-    b = b_vector(block_decompose(p))
+    b = p.alpha_vector
     states = build_grid(EXP_SHAPE).states
     assert b[0] == p.alpha[states[0]] and b[7] == p.alpha[states[7]]
+    assert p.gamma_vector.tolist() == [p.gamma[c]
+                                       for c in edge_classes(EXP_SHAPE)]
     flat = Parametrization(
         EXP_SHAPE, {u: 1.0 for u in states}, p.gamma
     )
-    assert np.all(b_vector(block_decompose(flat)) == 1.0)
+    assert np.all(flat.alpha_vector == 1.0)
+    # the weights are read-only: a change needs a new parametrization
+    with pytest.raises(FrozenInstanceError):
+        p.gamma = {}
+    with pytest.raises(TypeError):
+        p.alpha[states[0]] = -1.0
+    with pytest.raises(TypeError):
+        p.gamma[EdgeClass(1, 0, 1)] = float("nan")
+    for vec in (p.alpha_vector, p.gamma_vector):
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = -1.0
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 50])
@@ -128,8 +135,9 @@ def test_eigensystem_of_the_single_swap_block():
 def test_eigensystem_rejects_bad_input():
     with pytest.raises(DomainError, match="square"):
         symmetric_eigen(np.zeros((2, 3)))
-    with pytest.raises(DomainError, match="not symmetric"):
-        symmetric_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    for off in (0.5, np.nextafter(1.0, 2.0)):  # exact symmetry only
+        with pytest.raises(DomainError, match="not symmetric"):
+            symmetric_eigen(np.array([[0.0, 1.0], [off, 0.0]]))
 
 
 def test_zero_steps_is_the_identity(rng):
