@@ -5,16 +5,18 @@ Certified ranks of the constraint and parameter matrices
 Taking logarithms turns the bilinear commutation constraints into integer
 linear equations on the directed edges (matrix Q, entries in {-1,0,+1})
 and the positive parametrization into an integer linear map (matrix R).
-Q R^T = 0 always.  certified_ranks proves rank Q without eliminating Q:
-propagation over the constraints picks independent constraints that pin
-all but a free set F of edges (rank Q >= columns - |F|).  Every constraint
-is two paths between the same ends that take the same moves in opposite
-order, so vertex potentials and functions of an edge's (class, step) lie in
-Q's kernel; counting the dimension they span, through the cycles of one
-line graph per axis, gives rank Q <= columns - that count.  The two bounds
-meet, so the reported numbers carry no floating-point caveat, and the
-pinning constraints are an explicit minimal set that ensures the
-commutation.
+Q R^T = 0 always.  certified_ranks proves rank Q without eliminating Q.
+The free set F is the unit step into each state along its first nonzero
+axis (a spanning tree) plus every edge on the axis lines through the
+origin; from F, level by level, each constraint left with one unknown edge
+pins it, so the pinning constraints are independent (rank Q >= their
+number).  Every constraint is two paths between the same ends that take
+the same moves in opposite order, so vertex potentials and functions of an
+edge's (class, step) lie in Q's kernel; counting the dimension they span,
+through the cycles of one line graph per axis, gives rank Q <= columns -
+that count, which is |F|.  The two bounds meet, so the reported numbers
+carry no floating-point caveat, and the pinning constraints are an
+explicit minimal set that ensures the commutation.
 """
 
 from gbdp import (

@@ -16,10 +16,10 @@ and the closed-form rank of Q overcounts by exactly |Z|.
 certified_ranks proves rank Q without eliminating Q, by two bounds that
 must meet:
 
-* lower, by propagation: walking the edge columns in order, an unknown
-  column joins the free set F, and a constraint left with one unknown edge
-  pins that edge.  The pinning constraints are triangular on the edges they
-  pin, so they are independent and rank Q >= cols - |F|.
+* lower, by propagation: F holds the unit step into each state along its
+  first nonzero axis, a spanning tree, and every edge on the axis lines
+  through the origin.  From F, level by level, a constraint left with one
+  unknown edge pins it; the pins are triangular, so rank Q >= their count.
 * upper, by counting the kernel: every constraint is two paths between the
   same ends whose opposite legs are the same move (class and signed step).
   So every difference of vertex potentials and every function of an edge's
@@ -31,15 +31,16 @@ must meet:
   fundamental cycles on the axis lines through the origin reduce W K to one
   line graph per axis.  So rank Q <= cols - that count.
 
-When they meet, the pinning constraints have Q's kernel: they are an
-explicit minimal set of constraints that ensure the commutation.  If every
-edge's reverse is an edge of its class and every class has an edge, each
-class has a 2-cycle on which the vertex rows vanish, so by the same identity
-rank R = N - 1 + #classes = rows - 1.  nonzeros_Q and nonzeros_R give Q and
-R for dumps; build_Q, build_R and integer_rank are oracles.
+|F| is that count, so the bounds meet once every edge outside F is pinned,
+and the pinning constraints then have Q's kernel: an explicit minimal set
+of constraints that ensure the commutation.  If every edge's reverse is an
+edge of its class and every class has an edge, each class has a 2-cycle on
+which the vertex rows vanish, so by the same identity rank R = N - 1 +
+#classes = rows - 1.  nonzeros_Q and nonzeros_R give Q and R for dumps;
+build_Q, build_R and integer_rank are oracles.
 """
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -209,53 +210,52 @@ def order_formula_Q(shape):
     return rows, cols
 
 
-def _propagate(cols, n_cols):
-    """(F, pinning constraints) of the constraints with edge columns `cols`.
+def _free_edges(t):
+    """F over the columns of edge table t: +1 steps whose source is 0 before
+    their axis (the tree), and edges whose source is 0 off it (axis lines)."""
+    zero = t.coords[t.src] == 0
+    axes = np.arange(zero.shape[1])
+    axis = t.direction[:, None] - 1
+    tree = (t.step == 1) & (zero | (axes >= axis)).all(axis=1)
+    return tree | (zero | (axes == axis)).all(axis=1)
 
-    Walks the columns in order.  An unknown column joins F; a constraint
-    left with one unknown edge waits in a queue, then pins that edge unless
-    another constraint pinned it first.  Each pinning constraint's other
-    edges are known before it pins, so the pinning constraints are
-    triangular on the edges they pin.
-    """
-    n = cols.shape[1]
+
+def _propagate(cols, known):
+    """The pinning constraints, ascending, of the constraints with edge
+    columns `cols`, from the edges that the mask `known` marks: level by
+    level, each constraint with one unknown edge pins it, the lowest-numbered
+    where several share an edge, until a level pins nothing.  A pin's other
+    edges are known before its level, so the pins are triangular."""
     flat = cols.ravel()
     # the constraints of edge e are of_edge[start[e]:start[e + 1]]
-    of_edge = (np.argsort(flat, kind="stable") % n).tolist()
-    start = [0] + np.cumsum(np.bincount(flat, minlength=n_cols)).tolist()
-    edges = cols.T.tolist()
-    unknown = [4] * n  # edges of each constraint not yet propagated
-    known = [False] * n_cols
-    free, pins = [], []
-    queue = deque()
-    for c in range(n_cols):
-        if known[c]:
-            continue
-        known[c] = True
-        free.append(c)
-        queue.append(c)
-        while queue:
-            e = queue.popleft()
-            for k in of_edge[start[e]:start[e + 1]]:
-                unknown[k] -= 1
-                if unknown[k] == 1:
-                    last = [f for f in edges[k] if not known[f]]
-                    if last:
-                        known[last[0]] = True
-                        pins.append(k)
-                        queue.append(last[0])
-    return np.array(free, dtype=int), np.sort(np.array(pins, dtype=int))
+    of_edge = np.argsort(flat)
+    of_edge %= cols.shape[1]
+    start = np.r_[0, np.cumsum(np.bincount(flat, minlength=len(known)))]
+    known = known.copy()
+    unknown = (~known[cols]).sum(axis=0)
+    ready = np.flatnonzero(unknown == 1)
+    pins = [ready[:0]]
+    while ready.size:
+        edges = cols[:, ready]
+        edge, first = np.unique((edges * ~known[edges]).sum(axis=0),
+                                return_index=True)
+        known[edge] = True
+        pins.append(ready[first])
+        size = start[edge + 1] - start[edge]
+        touched = of_edge[np.repeat(start[edge] - np.cumsum(size) + size, size)
+                          + np.arange(size.sum())]
+        np.subtract.at(unknown, touched, 1)
+        ready = np.sort(touched[unknown[touched] == 1])
+    return np.sort(np.concatenate(pins))
 
 
 class RankCertificate(NamedTuple):
     """Certified ranks of Q and R for one shape.
 
-    free is F, the edge columns propagation leaves free; basis holds the
-    rows of Q (pair-major, pair_constraints order within a pair) that pin
-    every other column.  Both ascending.  The basis rows are independent
-    and have Q's kernel; len(basis) = rank_Q and |F| = N - 1 + sum_i (E_i -
-    n_i), the dimension of the kernel that the vertex potentials and the
-    functions of an edge's (class, step) span; rank_R = params - 1.
+    free is F and basis the pinning rows of Q (pair-major, pair_constraints
+    order within a pair), both ascending.  The basis rows are independent
+    and have Q's kernel: len(basis) = rank_Q = cols - |F|, with |F| the
+    kernel count N - 1 + sum_i (E_i - n_i); rank_R = params - 1.
     """
 
     rows: int  # constraints: Q's row count
@@ -292,17 +292,16 @@ def certified_ranks(shape):
         raise GbdpError(
             "rank of Q not certified: constraint %d is not two paths between "
             "the same ends with opposite legs the same move" % bad[0])
-    n_cols = len(t.src)
-    free, basis = _propagate(cols, n_cols)
+    n_cols, free = len(t.src), _free_edges(t)
+    basis = _propagate(cols, free)
     l = shape.l1
     # 2 sum_x (n - x + 1) is E_i, the edge count of the one-axis shape (n,)
     kernel = shape.n_states - 1 + sum(
         2 * sum(n - x + 1 for x in range(1, l + 1)) - n for n in shape.dims)
-    if kernel != len(free):
+    if len(basis) != n_cols - kernel:
         raise GbdpError(
             "rank of Q not certified: propagation gives rank Q >= %d, the "
-            "kernel count gives rank Q <= %d"
-            % (n_cols - len(free), n_cols - kernel))
+            "kernel count gives rank Q <= %d" % (len(basis), n_cols - kernel))
     params = shape.n_states + len(t.classes)
     # an edge and its reverse form a 2-cycle that only their class row sees
     rev = t.reverse
@@ -313,4 +312,4 @@ def certified_ranks(shape):
             "rank of R not certified: %d edges have no reverse in their "
             "class, %d classes have no edge" % (lonely.sum(), empty.sum()))
     return RankCertificate(cols.shape[1], n_cols, params, len(basis),
-                           params - 1, free, basis)
+                           params - 1, np.flatnonzero(free), basis)

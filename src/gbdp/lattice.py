@@ -147,8 +147,9 @@ class Edge(NamedTuple):
 
 def in_grid(shape, u):
     """Whether u is a state: q whole real numbers (no bools) within bounds."""
+    # a plain int skips is_real: within the bounds, float() converts it
     return len(u) == shape.q and all(
-        is_real(c) and c % 1 == 0 and 0 <= c <= n
+        (type(c) is int or is_real(c) and c % 1 == 0) and 0 <= c <= n
         for c, n in zip(u, shape.dims)
     )
 
@@ -216,7 +217,9 @@ def edge_columns(shape, pairs):
     """Edge column of each (u, v) pair of coordinate sequences; -1 where
     u -> v is not an edge.  The one map from coordinates to columns: the
     model file loader sends its (from, to) lists through it, and a model
-    built from a dict by hand its keys, once, on first use."""
+    built from a dict by hand the keys whose ends in_grid accepts, once, on
+    first use.  Coordinates are real numbers: bools and strings are read
+    as the numbers float() makes of them."""
     q, t = shape.q, edge_table(shape)
     fit = [len(u) == q == len(v) for u, v in pairs]
     try:

@@ -23,6 +23,7 @@ single P_i: the dense P_i are test oracles.
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -78,8 +79,14 @@ class TransitionModel:
     @cached_property
     def _columns(self):
         """The edge_table column of every key, in key order; -1 where the
-        key is no edge."""
-        return edge_columns(self.shape, list(self.probs))
+        key is no edge, or has an end that in_grid refuses (a bool or a
+        string coordinate)."""
+        keys = list(self.probs)
+        fit = [in_grid(self.shape, u) and in_grid(self.shape, v)
+               for u, v in keys]
+        columns = np.full(len(keys), -1)
+        columns[fit] = edge_columns(self.shape, list(compress(keys, fit)))
+        return columns
 
     @cached_property
     def edge_prob(self):
@@ -101,8 +108,14 @@ class TransitionModel:
 
     @cached_property
     def self_mass(self):
-        """Self-transition mass of every state, in lattice order."""
-        mass = np.array([self.self_of(u) for u in grid_states(self.shape)])
+        """Self-transition mass of every state, in lattice order; table keys
+        that in_grid refuses are left out."""
+        if isinstance(self.self_prob, Mapping):
+            on = {u: d for u, d in self.self_prob.items()
+                  if in_grid(self.shape, u)}
+            mass = np.array([on.get(u, 0.0) for u in grid_states(self.shape)])
+        else:
+            mass = np.full(self.shape.n_states, float(self.self_prob or 0.0))
         mass.flags.writeable = False
         return mass
 

@@ -134,8 +134,8 @@ def line_cycle_kernel(shape, col_labels):
     return z
 
 
-def one_more_free(cols, n_cols, propagate=algebra._propagate):
-    """algebra._propagate with a free set one column larger than the kernel
-    count, so that the rank bounds of certified_ranks disagree."""
-    free, basis = propagate(cols, n_cols)
-    return np.append(free, n_cols), basis
+def one_more_free(cols, known, propagate=algebra._propagate):
+    """algebra._propagate without its last pin, which leaves one more edge
+    free than the kernel count, so that the rank bounds of certified_ranks
+    disagree."""
+    return propagate(cols, known)[:-1]

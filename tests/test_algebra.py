@@ -1,5 +1,7 @@
 """Integer constraint and parameter matrices, exact and certified ranks."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,39 @@ def test_potentials_and_functions_of_the_move_solve_every_constraint(shape,
     assert not (q @ (phi[t.src] - phi[t.dst])).any()
 
 
+# every shape of one or two axes with dims <= 6, three axes with dims <= 3
+# and four axes with dims <= 2, at every l <= min(dims), and six larger
+RANK_SWEEP = [
+    GridShape(dims, l, l)
+    for q, top in ((1, 6), (2, 6), (3, 3), (4, 2))
+    for dims in product(range(1, top + 1), repeat=q)
+    for l in range(1, min(dims) + 1)
+] + [GridShape((1,) * 5, 1, 1), GridShape((2,) * 5, 1, 1),
+     GridShape((2,) * 5, 2, 2), GridShape((1,) * 6, 1, 1),
+     GridShape((4, 4, 4), 2, 2), GridShape((8, 8), 4, 4)]
+
+
+@pytest.mark.parametrize("shape", RANK_SWEEP, ids=str)
+def test_the_certified_rank_follows_the_line_cycle_law(shape):
+    cert = certified_ranks(shape)
+    assert cert.rank_Q == rank_formula_Q(shape) - line_cycle_count(shape)
+    assert len(cert.free) == cert.cols - cert.rank_Q
+
+
+@pytest.mark.parametrize("shape", SWEEP)
+def test_the_free_edges_are_a_spanning_tree_and_the_axis_lines(shape):
+    def free(u, v):
+        (i,) = [i for i in range(len(u)) if u[i] != v[i]]
+        # the unit step into v along the first axis where v is nonzero
+        tree = v[i] == u[i] + 1 and not any(v[:i])
+        # an edge on the axis line of axis i through the origin
+        line = not any(u[:i] + u[i + 1:])
+        return tree or line
+
+    expected = [k for k, (u, v) in enumerate(edge_pairs(shape)) if free(u, v)]
+    assert certified_ranks(shape).free.tolist() == expected
+
+
 @pytest.mark.parametrize("dims, l, rank_q, free, rank_r", [
     ((9, 9, 9), 2, 9126, 1074, 1050),
     ((31, 31), 4, 13671, 1433, 1259),
@@ -245,8 +280,14 @@ def test_weights_on_the_free_edges_propagate_to_a_kernel_vector(shape, rng):
 
 def test_a_propagated_model_commutes_but_has_no_parametrization(rng):
     cert = certified_ranks(EXP_SHAPE)
-    y = solve_basis(build_Q(EXP_SHAPE), cert,
-                    rng.integers(-2, 3, size=len(cert.free)))
+    y_free = rng.integers(-2, 3, size=len(cert.free))
+    # the line cycle closed by the jump (0,0)->(2,0), all of it free,
+    # carries one unit, on the jump alone, whatever the rest of the draw
+    cycle = edge_columns(EXP_SHAPE, [
+        ((0, 0), (2, 0)), ((2, 0), (0, 0)), ((0, 0), (1, 0)),
+        ((1, 0), (0, 0)), ((1, 0), (2, 0)), ((2, 0), (1, 0))])
+    y_free[np.searchsorted(cert.free, cycle)] = [1, 0, 0, 0, 0, 0]
+    y = solve_basis(build_Q(EXP_SHAPE), cert, y_free)
     model = TransitionModel(EXP_SHAPE, dict(zip(edge_pairs(EXP_SHAPE),
                                                 0.05 * np.exp(0.1 * y))))
     assert max(abs(v) for _, v in constraint_residuals(model, 1, 2)) <= (

@@ -124,6 +124,14 @@ def test_validate_flags_self_mass_off_the_grid():
                                "self-transition at off-grid state (0.5,)"]
 
 
+def test_a_bool_self_table_key_is_off_the_grid():
+    # (True, 0) == (1, 0), but in_grid refuses it, so no state reads it
+    model = TransitionModel(GridShape((2, 2), 1, 1), {},
+                            self_prob={(True, 0): 0.5}, absorbing=True)
+    assert validate(model) == ["self-transition at off-grid state (True, 0)"]
+    assert not model.self_mass.any()
+
+
 def test_validate_flags_probability_outside_unit_interval():
     model = TransitionModel(
         EXP_SHAPE, {((0, 0), (1, 0)): 1.5}, absorbing=True
@@ -161,12 +169,17 @@ def test_sink_mass_accounting():
     ((0, 0), (2, 0)),  # jump larger than l1
     ((1, 1), (1, 1)),  # self-loop
     ((10 ** 400, 0), (0, 0)),  # a coordinate beyond the double range
+    ((True, 0), (0, 0)),  # a bool coordinate
+    (("1", 1), (0, 1)),  # a string coordinate
 ])
 def test_malformed_keys_are_reported_and_otherwise_ignored(key):
     shape = GridShape((2, 2), 1, 1)
     good = make_commuting_model(shape, np.random.default_rng(5),
                                 self_prob={(1, 1): 0.25})
-    bad = TransitionModel(shape, {**good.probs, key: 0.5},
+    # a bool key equals the int key of its edge, which it would replace
+    probs = {k: p for k, p in good.probs.items() if k != key}
+    good = TransitionModel(shape, probs, self_prob=good.self_prob)
+    bad = TransitionModel(shape, {**probs, key: 0.5},
                           self_prob=good.self_prob)
     message = "edge %s->%s exits grid or is not a legal jump" % key
     assert message in validate(bad) and message not in validate(good)
