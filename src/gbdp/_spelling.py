@@ -19,16 +19,18 @@ import numpy as np
 
 # below 2^-30 the digits need more bits than one uint64 product holds
 _KERNEL_LOW = 2.0 ** -30
+_E4, _E8 = np.int64(10 ** 4), np.int64(10 ** 8)
 _E16, _E17 = np.int64(10 ** 16), np.int64(10 ** 17)
 # The kernel lays each value out in one 32-byte slot, filled from
 #
 #     ,-0.000D.   DDDDDDDDDDDDDDDDe-XX
 #
 # with the 17 significant digits D at byte 7 and bytes 12..27 and the
-# exponent's two digits at 30..31.  A keep-mask row per sign, form and
-# count of significant digits picks out the bytes "%.17g" writes; the
-# forms are 0..3 for 0.d, 0.0d, 0.00d and 0.000d, 4 for d.ddde-XX and 5
-# for zero.
+# exponent's two digits at 30..31: the uint32 words 0 and 2 are constant,
+# and the others come from the digit-group and exponent tables.  A
+# keep-mask row per sign, form and count of significant digits picks out
+# the bytes "%.17g" writes; the forms are 0..3 for 0.d, 0.0d, 0.00d and
+# 0.000d, 4 for d.ddde-XX and 5 for zero.
 _PATTERN = b",-0.0000.   " + b"0" * 16 + b"e-00"
 _SLOT = len(_PATTERN)
 _FORMS = 6
@@ -118,7 +120,8 @@ def _significand(ax):
 def spell(x):
     """The text "," + "%.17g" % v of each value v of the float64 vector x,
     with the field ",%.17g" in place of each value outside the kernel's
-    domain; the length of each value's text; and the values outside."""
+    domain; the length of each value's text; and the indices of the values
+    outside, ascending, whose fields the caller fills."""
     _, _, group, trailing, exponent, keep_rows, kept = _spelling_tables()
     ax = np.abs(x)
     kernel = (ax < 1.0) & ((ax >= _KERNEL_LOW) | (ax == 0.0))
@@ -128,21 +131,30 @@ def spell(x):
     d, E = _significand(np.maximum(np.abs(inside), _KERNEL_LOW))
     lead = d // _E16
     tail = d - lead * _E16
-    high = tail // np.int64(10 ** 8)
-    low = tail - high * np.int64(10 ** 8)
-    groups = np.stack([high // np.int64(10 ** 4), high % np.int64(10 ** 4),
-                       low // np.int64(10 ** 4), low % np.int64(10 ** 4)], 1)
-    zeros = trailing[groups[:, 3]]
-    for i in (2, 1, 0):  # an earlier group counts while the later are 0000
-        zeros += np.where(zeros == np.int64(12 - 4 * i),
-                          trailing[groups[:, i]], np.int64(0))
+    high = tail // _E8
+    low = tail - high * _E8
+    g0 = high // _E4
+    g1 = high - g0 * _E4
+    g2 = low // _E4
+    g3 = low - g2 * _E4
+    zeros = trailing[g3]
+    # an earlier group counts while the later are 0000, which about one
+    # k-step entry in 10^4 has
+    last = np.flatnonzero(g3 == 0)
+    more = zeros[last]
+    for i, g in ((2, g2), (1, g1), (0, g0)):
+        more += np.where(more == np.int64(12 - 4 * i), trailing[g[last]],
+                         np.int64(0))
+    zeros[last] = more
     form = np.where(E >= np.int64(-4), np.int64(-1) - E, np.int64(4))
     form[zero] = np.int64(5)
     slots = np.empty((len(inside), _SLOT), np.uint8)
-    slots[:] = np.frombuffer(_PATTERN, np.uint8)
     words = slots.view(np.uint32)
+    fixed = np.frombuffer(_PATTERN, np.uint32)
+    words[:, 0], words[:, 2] = fixed[0], fixed[2]  # ",-0." and ".   "
     words[:, 1] = group[lead]  # "000" and the leading digit
-    words[:, 3:7] = group[groups]
+    for i, g in enumerate((g0, g1, g2, g3), 3):
+        words[:, i] = group[g]
     words[:, 7] = exponent[-E]
     sign = np.signbit(inside).astype(np.int64)
     row = ((sign * np.int64(_FORMS) + form) * np.int64(18)
@@ -151,15 +163,14 @@ def spell(x):
     length = np.full(len(x), len(_FIELD), np.int64)
     length[kernel] = kept[row]
     rest = np.flatnonzero(~kernel)
-    if rest.size:  # a "%" marks the place of each value outside
-        # the text of the kernel's values before each value outside
-        ahead = np.concatenate([np.zeros(1, np.int64),
-                                np.cumsum(kept[row])])
-        marks = ahead[rest - np.arange(rest.size)] + np.arange(rest.size)
-        own = np.ones(len(text) + rest.size, bool)
-        own[marks] = False
-        marked = np.full(len(own), ord("%"), np.uint8)
-        marked[own] = text
-        text = marked
-    return (text.tobytes().decode("ascii").replace("%", _FIELD), length,
-            x[rest].tolist())
+    if not rest.size:
+        return text.tobytes().decode("ascii"), length, rest
+    # a "%" marks the place of each value outside: the text of the
+    # kernel's values before it, plus the marks before it
+    ahead = np.concatenate([np.zeros(1, np.int64), np.cumsum(kept[row])])
+    marks = ahead[rest - np.arange(rest.size)] + np.arange(rest.size)
+    own = np.ones(len(text) + rest.size, bool)
+    own[marks] = False
+    marked = np.full(len(own), ord("%"), np.uint8)
+    marked[own] = text
+    return marked.tobytes().decode("ascii").replace("%", _FIELD), length, rest

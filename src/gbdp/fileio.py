@@ -31,6 +31,7 @@ followed by a newline, byte for byte.
 """
 
 import csv
+import gc
 import io
 import json
 import math
@@ -247,30 +248,40 @@ def _parse_edges(shape, edges):
 
 
 def load_model(path):
-    doc = _load_json(path, "model file")
-    _check_keys(doc, ("format_version", "shape", "edges"),
-                ("self", "absorbing"), "model file")
-    _check_version(doc, "model file")
-    shape = _parse_shape(doc["shape"])
-    if not isinstance(doc["edges"], list):
-        raise FormatError("model edges must be a list")
-    columns, prob = _parse_edges(shape, doc["edges"])
-    self_prob = doc.get("self")
-    if isinstance(self_prob, dict):
-        parsed = {}
-        for key, d in self_prob.items():
-            u = _parse_state_key(key, shape.q, "self table")
-            if not in_grid(shape, u):
-                raise FormatError("self table state %s is off the grid" % (u,))
-            parsed[u] = _self_mass(d, "self mass at %s" % (u,))
-        self_prob = parsed
-    elif self_prob is not None:
-        self_prob = _self_mass(self_prob, "self mass")
-    absorbing = doc.get("absorbing", False)
-    if not isinstance(absorbing, bool):
-        raise FormatError("absorbing must be a boolean, got %r" % (absorbing,))
-    return TransitionModel._of_columns(shape, columns, prob, self_prob,
-                                       absorbing)
+    # the parse allocates millions of tracked dicts, lists and tuples at
+    # 10^5 states and frees none, so cyclic collection only costs time
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = _load_json(path, "model file")
+        _check_keys(doc, ("format_version", "shape", "edges"),
+                    ("self", "absorbing"), "model file")
+        _check_version(doc, "model file")
+        shape = _parse_shape(doc["shape"])
+        if not isinstance(doc["edges"], list):
+            raise FormatError("model edges must be a list")
+        columns, prob = _parse_edges(shape, doc["edges"])
+        self_prob = doc.get("self")
+        if isinstance(self_prob, dict):
+            parsed = {}
+            for key, d in self_prob.items():
+                u = _parse_state_key(key, shape.q, "self table")
+                if not in_grid(shape, u):
+                    raise FormatError(
+                        "self table state %s is off the grid" % (u,))
+                parsed[u] = _self_mass(d, "self mass at %s" % (u,))
+            self_prob = parsed
+        elif self_prob is not None:
+            self_prob = _self_mass(self_prob, "self mass")
+        absorbing = doc.get("absorbing", False)
+        if not isinstance(absorbing, bool):
+            raise FormatError(
+                "absorbing must be a boolean, got %r" % (absorbing,))
+        return TransitionModel._of_columns(shape, columns, prob, self_prob,
+                                           absorbing)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _shape_doc(shape):
@@ -407,7 +418,8 @@ def write_matrix_csv(f, labels, matrix):
     when they contain a comma: `"(0,1)"` but `(0)`.  Rows end in \\r\\n.
 
     A numpy kernel (`_spelling`) spells 0 and every 2^-30 <= |x| < 1, a
-    chunk of rows at a time, and Python's "%.17g" every other value.  Its
+    chunk of rows at a time, and Python's "%.17g" every other value, only
+    in the rows that hold one; labels never pass through "%".  Its
     digits are exact: for |x| = m 2^e in decade E, y = |x| 10^(16 - E) =
     m 5^s / 2^sh with sh <= 57, so the wrapping uint64 product m 5^s holds
     floor(y) mod 128 and y's fraction, and a float estimate of y within 32
@@ -418,18 +430,21 @@ def write_matrix_csv(f, labels, matrix):
         [state_label(u)] for u in labels)
     names = cells.getvalue().splitlines()
     f.write(",".join(["state"] + names) + "\r\n")
-    fields = [name.replace("%", "%%") for name in names]  # literal text
     matrix = np.asarray(matrix, dtype=np.float64)
     n_rows, n_cols = matrix.shape
     step = max(1, _CHUNK_VALUES // max(1, n_cols))
     for start in range(0, min(n_rows, len(names)), step):
         rows = matrix[start:start + step]
-        text, lengths, rest = spell(rows.ravel())
+        values = rows.ravel()
+        text, lengths, rest = spell(values)
         ends = lengths.reshape(rows.shape).sum(axis=1).cumsum().tolist()
-        template = "".join(
-            name + text[a:b] + "\r\n" for name, a, b in
-            zip(fields[start:start + step], [0, *ends], ends))
-        f.write(template % tuple(rest))
+        # row i's values outside are outside[cuts[i]:cuts[i + 1]]
+        cuts = np.searchsorted(rest, np.arange(len(rows) + 1) * n_cols)
+        cuts, outside = cuts.tolist(), values[rest].tolist()
+        f.write("".join(
+            name + (text[a:b] % tuple(outside[c:d]) if c < d else text[a:b])
+            + "\r\n" for name, a, b, c, d in zip(
+                names[start:start + step], [0, *ends], ends, cuts, cuts[1:])))
 
 
 def write_frequency_csv(f, freqs, trials):

@@ -67,14 +67,24 @@ class TransitionModel:
         return model
 
     def p(self, u, v):
-        return self.probs.get((tuple(u), tuple(v)), 0.0)
+        """The probability of u -> v that edge_prob holds: 0 unless both
+        ends are states in_grid accepts and u -> v is an edge."""
+        u, v = tuple(u), tuple(v)
+        if not (in_grid(self.shape, u) and in_grid(self.shape, v)):
+            return 0.0
+        column = edge_columns(self.shape, [(u, v)])[0]
+        return float(self.edge_prob[column]) if column >= 0 else 0.0
 
     def self_of(self, u):
+        """The self mass of u that self_mass holds: 0 unless u is a state
+        in_grid accepts."""
         if self.self_prob is None:
             return 0.0
-        if isinstance(self.self_prob, Mapping):
-            return self.self_prob.get(tuple(u), 0.0)
-        return float(self.self_prob)
+        u = tuple(u)
+        if not in_grid(self.shape, u):
+            return 0.0
+        return float(self.self_mass[np.ravel_multi_index(
+            tuple(map(int, u)), np.add(self.shape.dims, 1))])
 
     @cached_property
     def _columns(self):

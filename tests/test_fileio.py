@@ -1,6 +1,7 @@
 """JSON round trips, strict parsing, CSV and triplet writers."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from gbdp import (
     save_model,
     save_params,
 )
+from gbdp import fileio
 from gbdp.algebra import Nonzeros
 from gbdp.errors import FormatError
 from gbdp.fileio import (
@@ -190,6 +192,26 @@ def test_malformed_json_is_reported(tmp_path):
         load_model(path)
     with pytest.raises(FormatError, match="not valid JSON"):
         load_params(path)
+
+
+@pytest.mark.parametrize("enabled", [False, True])
+def test_load_model_leaves_the_callers_gc_setting(tmp_path, enabled):
+    """load_model pauses cyclic garbage collection while it parses and
+    hands the caller back the setting it found, also when it raises."""
+    good, bad = tmp_path / "model.json", tmp_path / "bad.json"
+    save_model(TransitionModel(EXP_SHAPE, {((0, 0), (1, 0)): 0.5},
+                               absorbing=True), good)
+    bad.write_text("{not json")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_model(good).p((0, 0), (1, 0)) == 0.5
+        assert gc.isenabled() == enabled
+        with pytest.raises(FormatError):
+            load_model(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("data, message", [
@@ -405,12 +427,21 @@ CSV_ENTRIES = [(0.0, "0"), (-0.0, "-0"), (1.0, "1"),
                (1.0 / 3.0, "0.33333333333333331")]
 
 
+def _both_csv(tmp_path, labels, matrix):
+    """The bytes of write_matrix_csv and of the per-entry oracle."""
+    paths = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+    for path, write in zip(paths, (write_matrix_csv, oracle_matrix_csv)):
+        with open(path, "w", newline="") as f:
+            write(f, labels, matrix)
+    return tuple(path.read_bytes() for path in paths)
+
+
 @pytest.mark.parametrize("dims, l, k", [
     ((3,), 1, None), ((2, 1), 1, None), ((1, 1, 1), 1, None),
     ((5, 5, 5), 2, 30), ((5, 5, 5), 2, 0), ((12, 12), 4, 30),
-    ((12, 12), 4, 0),
+    ((12, 12), 4, 0), ((9, 9, 9), 2, 30),
 ], ids=["dims0", "dims1", "dims2", "kstep-5x5x5-k30", "kstep-5x5x5-k0",
-        "kstep-12x12-k30", "kstep-12x12-k0"])
+        "kstep-12x12-k30", "kstep-12x12-k0", "kstep-9x9x9-k30"])
 def test_matrix_csv_bytes_equal_the_per_entry_csv_writer(tmp_path, rng, dims,
                                                          l, k):
     shape = GridShape(dims, l, l)
@@ -420,11 +451,7 @@ def test_matrix_csv_bytes_equal_the_per_entry_csv_writer(tmp_path, rng, dims,
     else:
         matrix = k_step(normalize_stochastic(make_parametrization(shape, rng)),
                         k)
-    paths = tmp_path / "fast.csv", tmp_path / "oracle.csv"
-    for path, write in zip(paths, (write_matrix_csv, oracle_matrix_csv)):
-        with open(path, "w", newline="") as f:
-            write(f, labels, matrix)
-    fast, oracle = (path.read_bytes() for path in paths)
+    fast, oracle = _both_csv(tmp_path, labels, matrix)
     assert fast == oracle
     assert fast.count(b"\r\n") == fast.count(b"\n") == len(labels) + 1
     assert (b'"' in fast) == (len(dims) > 1)  # labels with a comma
@@ -432,6 +459,45 @@ def test_matrix_csv_bytes_equal_the_per_entry_csv_writer(tmp_path, rng, dims,
         rows = list(csv.reader(io.StringIO(fast.decode(), newline="")))
         assert {text for _, text in CSV_ENTRIES} <= {
             cell for row in rows[1:] for cell in row[1:]}
+
+
+# values the kernel leaves to Python's "%.17g": |x| >= 1, 0 < |x| < 2^-30
+OUTSIDE = [1.0, -1.5, 2.5e17, 1e-300, -5e-324, 2.0 ** -31, math.inf,
+           -math.inf, math.nan]
+
+
+def test_matrix_csv_fills_the_outside_fields_of_each_row(tmp_path):
+    """Over a layout of several chunks, rows with every value outside the
+    kernel's domain, with none, and with one at either end each get
+    their own values in their own order."""
+    n_cols = 5000
+    assert 3 * n_cols <= fileio._CHUNK_VALUES < 4 * n_cols  # 3 rows a chunk
+    labels = build_grid(GridShape((3, 1), 1, 1)).states
+    rng = np.random.default_rng(24)
+    matrix = rng.uniform(-1.0, 1.0, (len(labels), n_cols))
+    matrix[3] = np.resize(OUTSIDE, n_cols)  # the first row of a chunk
+    matrix[5, [0, -1]] = 1.25, -3e-40  # the last row of a chunk
+    matrix[6, [0, 1, -1]] = OUTSIDE[-3:]  # the first row of the last
+    matrix[7, rng.choice(n_cols, 50, replace=False)] = rng.choice(OUTSIDE, 50)
+    fast, oracle = _both_csv(tmp_path, labels, matrix)
+    assert fast == oracle
+    rows = fast.decode().split("\r\n")
+    assert rows[4].startswith(
+        '"(1,1)",1,-1.5,2.5e+17,1e-300,-4.9406564584124654e-324,'
+        '4.6566128730773926e-10,inf,-inf,nan,1,')
+    assert rows[6].startswith('"(2,1)",1.25,')
+    assert rows[6].endswith(",-3.0000000000000002e-40")
+
+
+def test_matrix_csv_spells_rows_longer_than_a_chunk(tmp_path):
+    # every row exceeds a chunk, so each chunk is one row
+    n_cols = 16400
+    assert n_cols > fileio._CHUNK_VALUES
+    matrix = np.random.default_rng(16400).uniform(-1.0, 1.0, (2, n_cols))
+    matrix[0, [0, 7, -1]] = OUTSIDE[:3]
+    matrix[1, n_cols // 2:] = 1.5 * np.arange(1, n_cols - n_cols // 2 + 1)
+    fast, oracle = _both_csv(tmp_path, [(0,), (1,)], matrix)
+    assert fast == oracle
 
 
 def _entries(values):

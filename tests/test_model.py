@@ -132,6 +132,28 @@ def test_a_bool_self_table_key_is_off_the_grid():
     assert not model.self_mass.any()
 
 
+def test_p_and_self_of_read_no_key_that_the_tables_refuse():
+    # a dict lookup of (1, 0) finds the key (True, 0), which equals it
+    model = TransitionModel(GridShape((2, 2), 1, 1),
+                            {((True, 0), (0, 0)): 0.5},
+                            self_prob={(True, 0): 0.5}, absorbing=True)
+    assert not model.edge_prob.any() and not model.self_mass.any()
+    for u in ((1, 0), (True, 0)):
+        assert model.p(u, (0, 0)) == 0.0 and model.self_of(u) == 0.0
+
+
+@pytest.mark.parametrize("self_prob", [None, 0.25, {(1, 1): 0.25}])
+def test_p_and_self_of_equal_the_entries_of_the_full_matrix(self_prob):
+    model = make_commuting_model(EXP_SHAPE, np.random.default_rng(3),
+                                 self_prob=self_prob)
+    states, full = build_grid(EXP_SHAPE).states, full_matrix(model)
+    for a, u in enumerate(states):
+        assert model.self_of(u) == full[a, a]
+        for b, v in enumerate(states):
+            assert model.p(u, v) == (full[a, b] if a != b else 0.0)
+    assert model.p((3, 0), (2, 0)) == model.self_of((3, 0)) == 0.0
+
+
 def test_validate_flags_probability_outside_unit_interval():
     model = TransitionModel(
         EXP_SHAPE, {((0, 0), (1, 0)): 1.5}, absorbing=True
