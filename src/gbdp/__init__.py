@@ -57,13 +57,7 @@ from .param import (
     recover_params,
 )
 from .simulate import empirical_kstep
-from .spectral import (
-    EigenSystem,
-    block_decompose,
-    k_step,
-    matrix_power,
-    symmetric_eigen,
-)
+from .spectral import block_decompose, k_step, matrix_power
 from .stochastic import is_stochastic, normalize_stochastic
 
 __version__ = "0.1.0"

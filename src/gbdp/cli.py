@@ -80,13 +80,13 @@ def cmd_check_commute(args):
     return 0 if all_ok else 1
 
 
-def _write_matrix(out, shape, matrix):
-    labels = build_grid(shape).states
+def _write_csv(out, write, *args):
+    """write(f, *args) to the file `out`, or to stdout when out is None."""
     if out:
         with open(out, "w", newline="") as f:
-            fileio.write_matrix_csv(f, labels, matrix)
+            write(f, *args)
     else:
-        fileio.write_matrix_csv(sys.stdout, labels, matrix)
+        write(sys.stdout, *args)
 
 
 def cmd_kstep(args):
@@ -96,7 +96,8 @@ def cmd_kstep(args):
     else:  # the blocks are not symmetric: the dense power is the only route
         model = build_model(p, check_self_mass(args.self_mass) or None)
         matrix = matrix_power(full_matrix(model), args.k)
-    _write_matrix(args.out, p.shape, matrix)
+    _write_csv(args.out, fileio.write_matrix_csv,
+               build_grid(p.shape).states, matrix)
     return 0
 
 
@@ -150,11 +151,7 @@ def cmd_simulate(args):
     model = fileio.load_model(args.model)
     start = _int_list(args.start, "--from")
     freqs = empirical_kstep(model, start, args.k, args.trials, args.seed)
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            fileio.write_frequency_csv(f, freqs, args.trials)
-    else:
-        fileio.write_frequency_csv(sys.stdout, freqs, args.trials)
+    _write_csv(args.out, fileio.write_frequency_csv, freqs, args.trials)
     return 0
 
 

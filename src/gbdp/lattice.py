@@ -154,6 +154,14 @@ def in_grid(shape, u):
     )
 
 
+def _state_index(shape, u):
+    """The linear index of a state u that in_grid accepts."""
+    index = 0
+    for c, n in zip(u, shape.dims):
+        index = index * (n + 1) + int(c)
+    return index
+
+
 def move_slot(step, lmax):
     """The slot of a move by signed `step` in edge_table's column lookup:
     forward steps 1..lmax first, then backward steps 1..lmax."""
@@ -215,11 +223,12 @@ def _end_coordinates(pairs, fit, q):
 
 def edge_columns(shape, pairs):
     """Edge column of each (u, v) pair of coordinate sequences; -1 where
-    u -> v is not an edge.  The one map from coordinates to columns: the
+    u -> v is not an edge.  The map from lists of pairs to columns: the
     model file loader sends its (from, to) lists through it, and a model
     built from a dict by hand the keys whose ends in_grid accepts, once, on
-    first use.  Coordinates are real numbers: bools and strings are read
-    as the numbers float() makes of them."""
+    first use; TransitionModel.p reads a single pair's column off the move
+    lookup instead.  Coordinates are real numbers: bools and strings are
+    read as the numbers float() makes of them."""
     q, t = shape.q, edge_table(shape)
     fit = [len(u) == q == len(v) for u, v in pairs]
     try:
@@ -262,8 +271,7 @@ class Grid:
             raise DomainError("state %r is not on the grid" % (u,)) from None
         if not in_grid(self.shape, u):
             raise DomainError("state %s is not on the grid" % (u,))
-        return int(np.ravel_multi_index(tuple(map(int, u)),
-                                        np.add(self.shape.dims, 1)))
+        return _state_index(self.shape, u)
 
 
 def build_grid(shape):

@@ -29,8 +29,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DomainError
-from .lattice import (edge_columns, edge_pairs, edge_table, grid_states,
-                      in_grid, is_real)
+from .lattice import (_state_index, edge_columns, edge_pairs, edge_table,
+                      grid_states, in_grid, is_real, move_slot)
 
 # absolute tolerance for the "row sum = 1" check; all arithmetic is double
 # precision and grids are small
@@ -70,9 +70,17 @@ class TransitionModel:
         """The probability of u -> v that edge_prob holds: 0 unless both
         ends are states in_grid accepts and u -> v is an edge."""
         u, v = tuple(u), tuple(v)
-        if not (in_grid(self.shape, u) and in_grid(self.shape, v)):
+        shape = self.shape
+        if not (in_grid(shape, u) and in_grid(shape, v)):
             return 0.0
-        column = edge_columns(self.shape, [(u, v)])[0]
+        moves = [(axis, int(b) - int(a))
+                 for axis, (a, b) in enumerate(zip(u, v)) if a != b]
+        lmax = max(shape.l1, shape.l2)
+        if len(moves) != 1 or abs(moves[0][1]) > lmax:
+            return 0.0
+        axis, step = moves[0]
+        column = edge_table(shape).column[_state_index(shape, u), axis,
+                                          move_slot(step, lmax)]
         return float(self.edge_prob[column]) if column >= 0 else 0.0
 
     def self_of(self, u):
@@ -83,8 +91,7 @@ class TransitionModel:
         u = tuple(u)
         if not in_grid(self.shape, u):
             return 0.0
-        return float(self.self_mass[np.ravel_multi_index(
-            tuple(map(int, u)), np.add(self.shape.dims, 1))])
+        return float(self.self_mass[_state_index(self.shape, u)])
 
     @cached_property
     def _columns(self):

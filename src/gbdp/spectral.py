@@ -15,15 +15,16 @@ the closed form
                   (sum_i lam(i)_{r_i})^k * prod_i w(i)_{r_i}[u_i] w(i)_{r_i}[v_i]
                   / b_v
 
-with (lam(i), w(i)) the eigensystem of U(i).  A scalar self-transition mass
-a commutes with everything and simply shifts each eigenvalue sum by a.
+with (lam(i), w(i)) the eigenpairs np.linalg.eigh returns for U(i).  The
+signs eigh gives the eigenvectors do not matter: each column meets only
+itself in w w^T, and negation is exact.  A scalar self-transition mass a
+commutes with everything and simply shifts each eigenvalue sum by a.
 
 When l1 != l2 the blocks are not symmetric and this route is refused;
 matrix_power on the full matrix is then the only route.
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -31,11 +32,6 @@ import numpy as np
 from .errors import DomainError, UnsupportedConfigError
 from .lattice import edge_table, is_integer, require_equal_bounds
 from .model import check_self_mass
-
-# eigenvector components below this count as zero when fixing the sign:
-# block eigenvectors often have components that are exactly zero (by the
-# block's symmetry) but come out of eigh as rounding noise of either sign
-SIGN_LEAD_TOL = 1e-8
 
 
 def block_decompose(p):
@@ -49,37 +45,11 @@ def block_decompose(p):
     return blocks
 
 
-@dataclass
-class EigenSystem:
-    values: object  # ascending eigenvalues
-    vectors: object  # orthonormal eigenvectors as columns, vectors[:, r]
-
-
-def symmetric_eigen(u):
-    """Eigensystem of a matrix that is symmetric bit for bit.
-
-    Eigenvalues ascending; each eigenvector's sign is fixed by making its
-    first non-negligible component positive, so output is deterministic.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DomainError("expected a square matrix, got shape %s" % (u.shape,))
-    if not np.array_equal(u, u.T):
-        raise DomainError("matrix is not symmetric (max asymmetry %g)"
-                          % float(np.abs(u - u.T).max()))
-    values, vectors = np.linalg.eigh(u)
-    for r in range(vectors.shape[1]):
-        col = vectors[:, r]
-        lead = np.flatnonzero(np.abs(col) > SIGN_LEAD_TOL)
-        if lead.size and col[lead[0]] < 0:
-            vectors[:, r] = -col
-    return EigenSystem(values, vectors)
-
-
 def axis_eigensystems(p):
-    """The blocks of p and the eigensystem of each."""
+    """The blocks of p and the (ascending eigenvalues, orthonormal
+    eigenvector columns) pair np.linalg.eigh returns for each."""
     blocks = block_decompose(p)
-    return blocks, [symmetric_eigen(u) for u in blocks]
+    return blocks, [np.linalg.eigh(u) for u in blocks]
 
 
 def k_step(p, k, alpha_self=0.0):
@@ -99,8 +69,8 @@ def k_step(p, k, alpha_self=0.0):
     _, systems = axis_eigensystems(p)
     if k == 0:  # the closed form gives I only up to rounding
         return np.eye(p.shape.n_states)
-    w = reduce(np.kron, [s.vectors for s in systems])
-    lam = reduce(np.add.outer, [s.values for s in systems]).ravel()
+    w = reduce(np.kron, [vectors for _, vectors in systems])
+    lam = reduce(np.add.outer, [values for values, _ in systems]).ravel()
     inner = (w * (a + lam) ** k) @ w.T
     inner *= p.alpha_vector[:, None]
     inner /= p.alpha_vector[None, :]

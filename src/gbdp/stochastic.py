@@ -7,12 +7,15 @@ Kronecker sum of the symmetric blocks U(i), so its Perron root is
 sum_i lam_max(U(i)) and its Perron vector is the Kronecker product of the
 blocks' top eigenvectors (Horn & Johnson, Topics in Matrix Analysis, 4.4).
 M is irreducible iff every block is: a Cartesian product of graphs is
-connected iff each factor is.  normalize_stochastic reads this pair off the
-per-axis eigensystems, scales every gamma by (1 - alpha_self)/rho and
-replaces the vertex weights by the reciprocal Perron components (gauged to
-1 at the origin).  Commutation is untouched: the bilinear identities scale
-uniformly.  No N x N matrix is formed; the tests check the result
-against power iteration on the dense M.
+connected iff each factor is.  A block is symmetric, so its nonzero
+pattern is an undirected graph, and squaring its reachability matrix
+decides whether that graph is connected.  normalize_stochastic reads the
+Perron pair off the last of the eigenpairs np.linalg.eigh returns per
+block (v[0] / v is the same whichever sign eigh gives each vector), scales
+every gamma by (1 - alpha_self)/rho and replaces the vertex weights by the
+reciprocal Perron components (gauged to 1 at the origin).  Commutation is
+untouched: the bilinear identities scale uniformly.  No N x N matrix is
+formed; the tests check the result against power iteration on the dense M.
 """
 
 from functools import reduce
@@ -26,23 +29,16 @@ from .param import Parametrization
 from .spectral import axis_eigensystems
 
 
-def _strongly_connected(m):
-    """Both-ways reachability of every node from node 0 on the nonzero pattern."""
-    n = m.shape[0]
-    for mat in (m, m.T):
-        succ = [np.flatnonzero(mat[i] > 0) for i in range(n)]
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            for j in succ[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        if not seen.all():
-            return False
-    return True
+def _connected(u):
+    """Whether the nonzero pattern of the symmetric block u is a connected
+    graph: each squaring of the 0/1 reachability matrix doubles the path
+    length it covers, and len(u).bit_length() squarings cover len(u) - 1.
+    The products are float so that BLAS forms them; their entries are
+    path counts of at most len(u), exact in a double."""
+    reach = np.eye(len(u)) + (u > 0)
+    for _ in range(len(u).bit_length()):
+        reach = np.sign(reach @ reach)
+    return bool(reach[0].all())
 
 
 def normalize_stochastic(p, alpha_self=0.0):
@@ -53,12 +49,12 @@ def normalize_stochastic(p, alpha_self=0.0):
     """
     a = check_self_mass(alpha_self)
     blocks, systems = axis_eigensystems(p)
-    if not all(_strongly_connected(u) for u in blocks):
+    if not all(map(_connected, blocks)):
         raise StructureError(
             "weight matrix is reducible (a direction's block is disconnected)"
         )
-    rho = sum(float(s.values[-1]) for s in systems)
-    v = reduce(np.kron, [s.vectors[:, -1] for s in systems])
+    rho = sum(float(values[-1]) for values, _ in systems)
+    v = reduce(np.kron, [vectors[:, -1] for _, vectors in systems])
     c = (1.0 - a) / rho
     alpha = dict(zip(grid_states(p.shape), (v[0] / v).tolist()))
     gamma = {cls: c * g for cls, g in p.gamma.items()}

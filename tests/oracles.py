@@ -12,7 +12,6 @@ from gbdp.commute import DEFAULT_TOL
 from gbdp.errors import DomainError, StructureError
 from gbdp.lattice import Edge, edge_table, in_grid
 from gbdp.spectral import block_decompose
-from gbdp.stochastic import _strongly_connected
 
 # successive-iterate threshold and iteration cap of perron's power method
 VECTOR_TOL = 1e-13
@@ -88,6 +87,26 @@ def commutes_direct(model, i, j, tol=DEFAULT_TOL):
     pj = directional_matrix(model, j)
     residual = float(np.abs(pi @ pj - pj @ pi).max())
     return residual <= tol, residual
+
+
+def _strongly_connected(m):
+    """Both-ways reachability of every node from node 0 on the nonzero
+    pattern of m, by depth-first search."""
+    n = m.shape[0]
+    for mat in (m, m.T):
+        succ = [np.flatnonzero(mat[i] > 0) for i in range(n)]
+        seen = np.zeros(n, dtype=bool)
+        stack = [0]
+        seen[0] = True
+        while stack:
+            i = stack.pop()
+            for j in succ[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        if not seen.all():
+            return False
+    return True
 
 
 def perron(m):

@@ -372,11 +372,16 @@ def test_normalize_writes_a_stochastic_parametrization(tmp_path, rng, capsys):
 def test_simulate_writes_deterministic_frequencies(good_model, tmp_path):
     out1 = tmp_path / "f1.csv"
     out2 = tmp_path / "f2.csv"
+    args = ["simulate", "--model", good_model, "--from", "1,1", "--k", "3",
+            "--trials", "2000", "--seed", "7"]
     for out in (out1, out2):
-        assert main(["simulate", "--model", good_model, "--from", "1,1",
-                     "--k", "3", "--trials", "2000", "--seed", "7",
-                     "--out", str(out)]) == 0
+        assert main(args + ["--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "gbdp"] + args,
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0 and proc.stdout == out1.read_bytes()
     with open(out1) as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["state", "count", "frequency"]

@@ -140,18 +140,39 @@ def test_p_and_self_of_read_no_key_that_the_tables_refuse():
     assert not model.edge_prob.any() and not model.self_mass.any()
     for u in ((1, 0), (True, 0)):
         assert model.p(u, (0, 0)) == 0.0 and model.self_of(u) == 0.0
+    # keys that no edge has: two coordinates move, a step longer than l,
+    # and a backward step of 2 within l1 = 2 but beyond l2 = 1
+    for shape, keys in [
+            (GridShape((2, 2), 1, 1), [((0, 0), (1, 1)), ((0, 0), (2, 0))]),
+            (GridShape((2, 2), 2, 1), [((2, 0), (0, 0))])]:
+        model = TransitionModel(shape, {k: 0.5 for k in keys},
+                                absorbing=True)
+        assert set(model.illegal) == set(keys)
+        for u, v in keys:
+            assert model.p(u, v) == 0.0
+            assert model.p(np.array(u, float), np.array(v)) == 0.0
 
 
-@pytest.mark.parametrize("self_prob", [None, 0.25, {(1, 1): 0.25}])
-def test_p_and_self_of_equal_the_entries_of_the_full_matrix(self_prob):
-    model = make_commuting_model(EXP_SHAPE, np.random.default_rng(3),
+@pytest.mark.parametrize("shape,self_prob", [
+    (EXP_SHAPE, None), (EXP_SHAPE, 0.25), (EXP_SHAPE, {(1, 1): 0.25}),
+    (GridShape((3, 2), 1, 1), 0.25), (GridShape((3, 3), 2, 1), {(2, 1): 0.25}),
+])
+def test_p_and_self_of_equal_the_entries_of_the_full_matrix(shape, self_prob):
+    model = make_commuting_model(shape, np.random.default_rng(3),
                                  self_prob=self_prob)
-    states, full = build_grid(EXP_SHAPE).states, full_matrix(model)
+    states, full = build_grid(shape).states, full_matrix(model)
+    # all pairs, so two moved coordinates and steps beyond l1 or l2 too;
+    # integral floats and numpy ints name the same states as ints
+    spellings = (tuple, lambda u: tuple(map(float, u)),
+                 lambda u: tuple(np.array(u)))
     for a, u in enumerate(states):
-        assert model.self_of(u) == full[a, a]
-        for b, v in enumerate(states):
-            assert model.p(u, v) == (full[a, b] if a != b else 0.0)
-    assert model.p((3, 0), (2, 0)) == model.self_of((3, 0)) == 0.0
+        for spell in spellings:
+            assert model.self_of(spell(u)) == full[a, a]
+            for b, v in enumerate(states):
+                assert model.p(spell(u), spell(v)) == (full[a, b] if a != b
+                                                       else 0.0)
+    off = (shape.dims[0] + 1, 0)
+    assert model.p(off, (shape.dims[0], 0)) == model.self_of(off) == 0.0
 
 
 def test_validate_flags_probability_outside_unit_interval():

@@ -1,14 +1,22 @@
-"""No module under src/gbdp imports a name it never uses.
+"""No module under src/gbdp, tests or demos imports a name it never uses.
 
 Moving or deleting a function tends to leave the imports only it needed
 behind; this check reads the sources, so such a leftover fails here.
-__init__.py is exempt: its imports are the package's exports.
+src/gbdp/__init__.py is exempt: its imports are the package's exports.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gbdp"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = {
+    "src/gbdp": [p for p in (ROOT / "src" / "gbdp").glob("*.py")
+                 if p.name != "__init__.py"],
+    "tests": list((ROOT / "tests").glob("*.py")),
+    "demos": list((ROOT / "demos").glob("*.py")),
+}
 
 
 def unused_imports(source, filename="<source>"):
@@ -33,8 +41,9 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["fold"]
 
 
-def test_no_module_imports_a_name_it_never_uses():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+@pytest.mark.parametrize("folder", sorted(SOURCES))
+def test_no_module_imports_a_name_it_never_uses(folder):
+    modules = sorted(SOURCES[folder])
     assert modules  # a glob that finds nothing would make this vacuous
     unused = {p.name: unused_imports(p.read_text(), str(p)) for p in modules}
     assert not {name: u for name, u in unused.items() if u}, unused

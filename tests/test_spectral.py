@@ -16,12 +16,12 @@ from gbdp import (
     k_step,
     matrix_power,
     normalize_stochastic,
-    symmetric_eigen,
 )
 from gbdp.errors import DomainError, UnsupportedConfigError
 from gbdp.param import EdgeClass
+from gbdp.spectral import axis_eigensystems
 from oracles import direction_operator, directional_matrix
-from conftest import EXP_SHAPE, make_commuting_model, make_parametrization
+from conftest import EXP_SHAPE, make_parametrization
 
 
 def test_block_entries_are_the_class_weights(rng):
@@ -105,39 +105,29 @@ def test_b_vector_follows_state_order(rng):
             vec[0] = -1.0
 
 
-@pytest.mark.parametrize("n", [2, 5, 17, 50])
-def test_eigensystem_contracts_on_random_symmetric_input(n, rng):
-    x = rng.normal(size=(n, n))
-    s = x + x.T
-    es = symmetric_eigen(s)
-    w, lam = es.vectors, es.values
-    assert np.abs((w * lam) @ w.T - s).max() <= 1e-10
-    assert np.abs(w.T @ w - np.eye(n)).max() <= 1e-10
-    assert np.all(np.diff(lam) >= 0)
-    for r in range(n):
-        lead = np.flatnonzero(np.abs(w[:, r]) > 1e-8)
-        assert w[lead[0], r] > 0
+@pytest.mark.parametrize("dims,l", [((1,), 1), ((4, 2), 2), ((16, 3), 3),
+                                    ((49,), 4)])
+def test_axis_eigensystems_are_eigh_pairs_of_the_blocks(dims, l, rng):
+    p = make_parametrization(GridShape(dims, l, l), rng)
+    blocks, systems = axis_eigensystems(p)
+    assert len(blocks) == len(systems) == len(dims)
+    for u, expected, (lam, w) in zip(blocks, block_decompose(p), systems):
+        assert np.array_equal(u, expected)
+        n = len(u)
+        assert np.abs((w * lam) @ w.T - u).max() <= 1e-10 * np.abs(u).max()
+        assert np.abs(w.T @ w - np.eye(n)).max() <= 1e-10
+        assert np.all(np.diff(lam) >= 0)
 
 
 def test_eigensystem_of_the_complete_coupling_block():
-    es = symmetric_eigen(np.ones((3, 3)) - np.eye(3))
-    assert np.allclose(es.values, [-1.0, -1.0, 2.0], atol=1e-12)
-    assert np.allclose(es.vectors[:, 2], np.full(3, 3 ** -0.5), atol=1e-12)
-
-
-def test_eigensystem_of_the_single_swap_block():
-    es = symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    r = 2 ** -0.5
-    assert np.allclose(es.values, [-1.0, 1.0], atol=1e-14)
-    assert np.allclose(es.vectors, [[r, r], [-r, r]], atol=1e-14)
-
-
-def test_eigensystem_rejects_bad_input():
-    with pytest.raises(DomainError, match="square"):
-        symmetric_eigen(np.zeros((2, 3)))
-    for off in (0.5, np.nextafter(1.0, 2.0)):  # exact symmetry only
-        with pytest.raises(DomainError, match="not symmetric"):
-            symmetric_eigen(np.array([[0.0, 1.0], [off, 0.0]]))
+    # all-ones weights on (2, 2) l=2: each block is the adjacency of K3
+    shape = GridShape((2, 2), 2, 2)
+    flat = Parametrization(shape, {u: 1.0 for u in build_grid(shape).states},
+                           {c: 1.0 for c in edge_classes(shape)})
+    for lam, w in axis_eigensystems(flat)[1]:
+        assert np.allclose(lam, [-1.0, -1.0, 2.0], atol=1e-12)
+        assert np.allclose(np.abs(w[:, 2]), np.full(3, 3 ** -0.5),
+                           atol=1e-12)
 
 
 def test_zero_steps_is_the_identity(rng):

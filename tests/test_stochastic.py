@@ -18,7 +18,8 @@ from gbdp import (
 )
 from gbdp.errors import DomainError, StructureError
 from gbdp.param import EdgeClass
-from oracles import direction_operator, perron
+from gbdp.spectral import block_decompose
+from oracles import _strongly_connected, direction_operator, perron
 from conftest import EXP_SHAPE, make_parametrization
 
 
@@ -152,6 +153,36 @@ def test_normalize_rejects_a_disconnected_weight_pattern(rng):
     p = Parametrization(p.shape, p.alpha, {**p.gamma, EdgeClass(2, 1, 1): 0.0})
     with pytest.raises(StructureError, match="reducible"):
         normalize_stochastic(p)
+    # on (3,) l=2 the edges 0-2 and 1-3 cross every cut between neighbours
+    # yet leave {0, 2} and {1, 3} apart; with only 1-2 at 0, the edges
+    # 0-1, 2-3, 0-2 and 1-3 form the cycle 0-1-3-2-0
+    p = make_parametrization(GridShape((3,), 2, 2), rng)
+    units = [EdgeClass(1, r, 1) for r in range(3)]
+    cut = Parametrization(p.shape, p.alpha,
+                          {**p.gamma, **dict.fromkeys(units, 0.0)})
+    with pytest.raises(StructureError, match="reducible"):
+        normalize_stochastic(cut)
+    cycle = Parametrization(p.shape, p.alpha, {**p.gamma, units[1]: 0.0})
+    assert normalize_stochastic(cycle).shape == p.shape
+    # random zero patterns: refused exactly when the oracle's search finds
+    # a disconnected block
+    seen = set()
+    for _ in range(200):
+        q = int(rng.integers(1, 3))
+        dims = tuple(int(n) for n in rng.integers(1, 7, size=q))
+        l = int(rng.integers(1, min(3, *dims) + 1))
+        p = make_parametrization(GridShape(dims, l, l), rng)
+        zero = rng.uniform(size=len(p.gamma)) < rng.uniform(0.1, 0.6)
+        p = Parametrization(p.shape, p.alpha, {
+            c: 0.0 if z else g for (c, g), z in zip(p.gamma.items(), zero)})
+        connected = all(map(_strongly_connected, block_decompose(p)))
+        seen.add(connected)
+        if connected:
+            normalize_stochastic(p)
+        else:
+            with pytest.raises(StructureError, match="reducible"):
+                normalize_stochastic(p)
+    assert seen == {True, False}
 
 
 def test_is_stochastic_cases():
